@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::netlist::{Circuit, Element, NodeId};
-use crate::num::LinearError;
+use crate::num::{LinearError, Matrix, Scalar};
 
 pub mod ac;
 pub mod dc;
@@ -84,8 +84,8 @@ pub struct Topology {
     n_nodes: usize,
     /// (element index, kind) per branch, in element order.
     branches: Vec<(usize, BranchKind)>,
-    /// element index -> branch ordinal.
-    branch_of_element: HashMap<usize, usize>,
+    /// Branch ordinal per element index (`None` for branchless elements).
+    branch_of_element: Vec<Option<usize>>,
     /// element name -> branch ordinal (for current measurements).
     branch_by_name: HashMap<String, usize>,
 }
@@ -95,7 +95,7 @@ impl Topology {
     pub fn build(circuit: &Circuit) -> Self {
         let n_nodes = circuit.node_count() - 1;
         let mut branches = Vec::new();
-        let mut branch_of_element = HashMap::new();
+        let mut branch_of_element = vec![None; circuit.elements().len()];
         let mut branch_by_name = HashMap::new();
         for (idx, el) in circuit.elements().iter().enumerate() {
             let kind = match el {
@@ -107,7 +107,7 @@ impl Topology {
             if let Some(kind) = kind {
                 let ordinal = branches.len();
                 branches.push((idx, kind));
-                branch_of_element.insert(idx, ordinal);
+                branch_of_element[idx] = Some(ordinal);
                 branch_by_name.insert(el.name().to_ascii_lowercase(), ordinal);
             }
         }
@@ -151,8 +151,10 @@ impl Topology {
     #[inline]
     pub fn branch_ix(&self, element_index: usize) -> Option<usize> {
         self.branch_of_element
-            .get(&element_index)
-            .map(|&b| self.n_nodes + b)
+            .get(element_index)
+            .copied()
+            .flatten()
+            .map(|b| self.n_nodes + b)
     }
 
     /// Unknown index of the branch current of the element named `name`
@@ -176,6 +178,39 @@ impl Topology {
             Some(i) => x[i],
             None => 0.0,
         }
+    }
+}
+
+/// The MNA matrix and right-hand side one analysis reuses for every Newton
+/// iteration or frequency point: assembled, then solved in place, so the
+/// steady state allocates nothing.
+#[derive(Debug)]
+pub(crate) struct MnaBuffers<T> {
+    mat: Matrix<T>,
+    rhs: Vec<T>,
+}
+
+impl<T: Scalar> MnaBuffers<T> {
+    /// Buffers for a `dim`-unknown system.
+    pub(crate) fn new(dim: usize) -> Self {
+        MnaBuffers {
+            mat: Matrix::zero(dim),
+            rhs: vec![T::ZERO; dim],
+        }
+    }
+
+    /// Zeroes the buffers, lets `assemble` stamp the system into them and
+    /// solves it in place. The solution lives in the buffers until the
+    /// next call.
+    pub(crate) fn solve_with(
+        &mut self,
+        assemble: impl FnOnce(&mut Matrix<T>, &mut [T]),
+    ) -> Result<&[T], LinearError> {
+        self.mat.clear();
+        self.rhs.fill(T::ZERO);
+        assemble(&mut self.mat, &mut self.rhs);
+        self.mat.solve_in_place(&mut self.rhs)?;
+        Ok(&self.rhs)
     }
 }
 

@@ -4,7 +4,7 @@ use crate::netlist::{Circuit, Element, NodeId};
 use crate::num::{Complex, Matrix};
 
 use super::dc::{DcSolver, OperatingPoint};
-use super::{AnalysisError, Topology};
+use super::{AnalysisError, MnaBuffers, Topology};
 
 /// Frequency grid specification for an AC sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,16 +183,12 @@ impl AcSolver {
         let freqs = sweep.frequencies()?;
         let dim = topo.dim();
         let mut solutions = Vec::with_capacity(freqs.len());
-        let mut mat = Matrix::<Complex>::zero(dim);
-        let mut rhs = vec![Complex::ZERO; dim];
+        let mut buf = MnaBuffers::<Complex>::new(dim);
 
         for &f in &freqs {
             let omega = 2.0 * std::f64::consts::PI * f;
-            mat.clear();
-            rhs.iter_mut().for_each(|v| *v = Complex::ZERO);
-            assemble_ac(circuit, &topo, op, omega, &mut mat, &mut rhs);
-            let x = mat.solve(&rhs)?;
-            solutions.push(x);
+            let x = buf.solve_with(|mat, rhs| assemble_ac(circuit, &topo, op, omega, mat, rhs))?;
+            solutions.push(x.to_vec());
         }
         Ok(AcResult {
             topo,

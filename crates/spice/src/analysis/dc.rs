@@ -10,7 +10,7 @@ use crate::devices::FetCaps;
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::num::Matrix;
 
-use super::{AnalysisError, Topology};
+use super::{AnalysisError, MnaBuffers, Topology};
 
 /// Per-FET operating-point record.
 #[derive(Debug, Clone, Copy)]
@@ -193,12 +193,13 @@ impl DcSolver {
         circuit: &Circuit,
         topo: &Topology,
     ) -> Result<Vec<f64>, AnalysisError> {
+        let mut buf = MnaBuffers::new(topo.dim());
         // Strategy 1: gmin ladder from a zero start.
         let mut x = vec![0.0; topo.dim()];
         let mut ladder_ok = true;
         for &gmin in &self.gmin_ladder {
-            match self.newton(circuit, topo, &x, gmin, 1.0) {
-                Ok(next) => x = next,
+            match self.newton(circuit, topo, &mut x, gmin, 1.0, &mut buf) {
+                Ok(()) => {}
                 // A cancelled rung must not fall through to source stepping:
                 // the whole solve is abandoned.
                 Err(e @ AnalysisError::Cancelled(_)) => return Err(e),
@@ -213,39 +214,35 @@ impl DcSolver {
         }
 
         // Strategy 2: source stepping at a fixed safe gmin, then relax gmin.
-        let mut x = vec![0.0; topo.dim()];
+        x.fill(0.0);
         for step in 1..=self.source_steps {
             let alpha = step as f64 / self.source_steps as f64;
-            x = self.newton(circuit, topo, &x, 1e-9, alpha)?;
+            self.newton(circuit, topo, &mut x, 1e-9, alpha, &mut buf)?;
         }
         for &gmin in &[1e-10, 1e-12] {
-            x = self.newton(circuit, topo, &x, gmin, 1.0)?;
+            self.newton(circuit, topo, &mut x, gmin, 1.0, &mut buf)?;
         }
         Ok(x)
     }
 
-    /// One Newton solve at fixed gmin and source scale.
+    /// One Newton solve at fixed gmin and source scale, from `x` to the
+    /// converged solution in `x` (left mid-iteration on error).
     fn newton(
         &self,
         circuit: &Circuit,
         topo: &Topology,
-        x0: &[f64],
+        x: &mut [f64],
         gmin: f64,
         src_scale: f64,
-    ) -> Result<Vec<f64>, AnalysisError> {
+        buf: &mut MnaBuffers<f64>,
+    ) -> Result<(), AnalysisError> {
         let dim = topo.dim();
-        let mut x = x0.to_vec();
-        let mut mat = Matrix::<f64>::zero(dim);
-        let mut rhs = vec![0.0; dim];
-
         for _iter in 0..self.max_iterations {
             if let Some(token) = &self.cancel {
                 token.check()?;
             }
-            mat.clear();
-            rhs.iter_mut().for_each(|v| *v = 0.0);
-            assemble_dc(circuit, topo, &x, gmin, src_scale, &mut mat, &mut rhs);
-            let x_new = mat.solve(&rhs)?;
+            let x_new = buf
+                .solve_with(|mat, rhs| assemble_dc(circuit, topo, x, gmin, src_scale, mat, rhs))?;
 
             // Convergence on node voltages (branch currents follow).
             let mut max_dv: f64 = 0.0;
@@ -262,7 +259,7 @@ impl DcSolver {
                 }
             }
             if max_dv < self.vtol {
-                return Ok(x);
+                return Ok(());
             }
         }
         Err(AnalysisError::NoConvergence {
@@ -655,5 +652,126 @@ mod tests {
         c.capacitor("C1", a, b, 1e-15).unwrap();
         let op = DcSolver::new().solve(&c).unwrap();
         assert!(op.voltage(b).abs() < 1e-3);
+    }
+
+    /// `solve_vector` as it ran before buffer reuse: a fresh matrix per
+    /// strategy rung and a fresh solution vector per iteration, from the
+    /// allocating `Matrix::solve`.
+    fn reference_solve_vector(
+        s: &DcSolver,
+        circuit: &Circuit,
+        topo: &Topology,
+    ) -> Result<Vec<f64>, AnalysisError> {
+        let newton = |x0: &[f64], gmin: f64, src_scale: f64| {
+            let dim = topo.dim();
+            let mut x = x0.to_vec();
+            let mut mat = Matrix::<f64>::zero(dim);
+            let mut rhs = vec![0.0; dim];
+            for _ in 0..s.max_iterations {
+                mat.clear();
+                rhs.iter_mut().for_each(|v| *v = 0.0);
+                assemble_dc(circuit, topo, &x, gmin, src_scale, &mut mat, &mut rhs);
+                let x_new = mat.solve(&rhs)?;
+                let mut max_dv: f64 = 0.0;
+                for i in 0..topo.node_unknowns() {
+                    max_dv = max_dv.max((x_new[i] - x[i]).abs());
+                }
+                for i in 0..dim {
+                    if i < topo.node_unknowns() {
+                        let dv = (x_new[i] - x[i]).clamp(-s.damping, s.damping);
+                        x[i] += dv;
+                    } else {
+                        x[i] = x_new[i];
+                    }
+                }
+                if max_dv < s.vtol {
+                    return Ok(x);
+                }
+            }
+            Err(AnalysisError::NoConvergence {
+                phase: "reference".to_string(),
+                iterations: s.max_iterations,
+            })
+        };
+        let mut x = vec![0.0; topo.dim()];
+        let mut ladder_ok = true;
+        for &gmin in &s.gmin_ladder {
+            match newton(&x, gmin, 1.0) {
+                Ok(next) => x = next,
+                Err(_) => {
+                    ladder_ok = false;
+                    break;
+                }
+            }
+        }
+        if ladder_ok {
+            return Ok(x);
+        }
+        let mut x = vec![0.0; topo.dim()];
+        for step in 1..=s.source_steps {
+            x = newton(&x, 1e-9, step as f64 / s.source_steps as f64)?;
+        }
+        for &gmin in &[1e-10, 1e-12] {
+            x = newton(&x, gmin, 1.0)?;
+        }
+        Ok(x)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn reused_buffers_match_fresh_allocations_bit_for_bit() {
+        // A CMOS inverter at mid-rail input, plus a node reached only
+        // through a capacitor: open in DC, so a gmin of zero leaves its
+        // row empty.
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let vin = c.node("vin");
+        let out = c.node("out");
+        let float = c.node("float");
+        c.vsource("VDD", vdd, Circuit::GROUND, 0.8);
+        c.vsource("VIN", vin, Circuit::GROUND, 0.4);
+        for (name, src, polarity, w) in [
+            ("MN", Circuit::GROUND, FetPolarity::Nmos, 1e-6),
+            ("MP", vdd, FetPolarity::Pmos, 2e-6),
+        ] {
+            let model = FetModel::ideal(polarity);
+            c.fet(FetInstance::new(name, out, vin, src, src, model, w, 100e-9))
+                .unwrap();
+        }
+        c.capacitor("CF", out, float, 1e-15).unwrap();
+        let topo = Topology::build(&c);
+
+        // The gmin ladder converges on every rung.
+        let ladder = DcSolver::new();
+        let x = ladder.solve_vector(&c, &topo).unwrap();
+        assert_eq!(
+            bits(&x),
+            bits(&reference_solve_vector(&ladder, &c, &topo).unwrap())
+        );
+
+        // A zero-gmin rung fails on a singular matrix after a converged
+        // rung, and source stepping then reuses the half-factored buffers.
+        let stepped = DcSolver::new().gmin_ladder(vec![1e-3, 0.0]);
+        let mut probe = vec![0.0; topo.dim()];
+        let singular = stepped.newton(
+            &c,
+            &topo,
+            &mut probe,
+            0.0,
+            1.0,
+            &mut MnaBuffers::new(topo.dim()),
+        );
+        assert!(
+            matches!(singular, Err(AnalysisError::Linear(_))),
+            "{singular:?}"
+        );
+        let x = stepped.solve_vector(&c, &topo).unwrap();
+        assert_eq!(
+            bits(&x),
+            bits(&reference_solve_vector(&stepped, &c, &topo).unwrap())
+        );
     }
 }

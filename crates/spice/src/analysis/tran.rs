@@ -13,7 +13,7 @@ use crate::netlist::{Circuit, Element, NodeId};
 use crate::num::Matrix;
 
 use super::dc::{stamp_branch_kcl, stamp_conductance, stamp_transconductance, DcSolver};
-use super::{AnalysisError, Topology};
+use super::{AnalysisError, MnaBuffers, Topology};
 
 /// How the transient run is initialized.
 #[derive(Debug, Clone, Default)]
@@ -178,8 +178,7 @@ impl TranSolver {
         times.push(0.0);
         data.push(x.clone());
 
-        let mut mat = Matrix::<f64>::zero(dim);
-        let mut rhs = vec![0.0; dim];
+        let mut buf = MnaBuffers::new(dim);
 
         for step in 1..=n_steps {
             let t = step as f64 * self.dt;
@@ -191,9 +190,7 @@ impl TranSolver {
             };
             let mut solved = None;
             for &method in methods {
-                match self.newton_step(
-                    circuit, &topo, &x, &states, t, self.dt, method, &mut mat, &mut rhs,
-                ) {
+                match self.newton_step(circuit, &topo, &x, &states, t, self.dt, method, &mut buf) {
                     Ok(next) => {
                         solved = Some((next, method));
                         break;
@@ -223,8 +220,7 @@ impl TranSolver {
                                 ts,
                                 sub_dt,
                                 Method::BackwardEuler,
-                                &mut mat,
-                                &mut rhs,
+                                &mut buf,
                             )
                             .map_err(|e| match e {
                                 e @ AnalysisError::Cancelled(_) => e,
@@ -246,7 +242,6 @@ impl TranSolver {
 
     /// Newton iteration for one timestep.
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
     fn newton_step(
         &self,
         circuit: &Circuit,
@@ -256,18 +251,16 @@ impl TranSolver {
         t: f64,
         dt: f64,
         method: Method,
-        mat: &mut Matrix<f64>,
-        rhs: &mut [f64],
+        buf: &mut MnaBuffers<f64>,
     ) -> Result<Vec<f64>, AnalysisError> {
         let mut x = x_prev.to_vec();
         for _ in 0..self.max_newton {
             if let Some(token) = &self.cancel {
                 token.check()?;
             }
-            mat.clear();
-            rhs.iter_mut().for_each(|v| *v = 0.0);
-            assemble_tran(circuit, topo, &x, states, t, dt, method, mat, rhs);
-            let x_new = mat.solve(rhs)?;
+            let x_new = buf.solve_with(|mat, rhs| {
+                assemble_tran(circuit, topo, &x, states, t, dt, method, mat, rhs);
+            })?;
             let mut max_dv: f64 = 0.0;
             for i in 0..topo.node_unknowns() {
                 max_dv = max_dv.max((x_new[i] - x[i]).abs());
@@ -297,16 +290,18 @@ enum Method {
     BackwardEuler,
 }
 
-/// Per-element reactive state carried between timesteps.
+/// Per-element reactive state carried between timesteps. Each vector is
+/// indexed by element; entries of other element kinds stay at their
+/// default and are never read.
 #[derive(Debug, Clone)]
 struct ReactiveState {
-    /// For each explicit capacitor (by element index): (v, i).
-    caps: HashMap<usize, (f64, f64)>,
-    /// For each inductor (by element index): (i, v).
-    inductors: HashMap<usize, (f64, f64)>,
-    /// For each FET (by element index): five cap states (v, i) in the order
-    /// gs, gd, gb, db, sb, plus the cap values frozen for the current step.
-    fet_caps: HashMap<usize, [CapState; 5]>,
+    /// For each explicit capacitor: (v, i).
+    caps: Vec<(f64, f64)>,
+    /// For each inductor: (i, v).
+    inductors: Vec<(f64, f64)>,
+    /// For each FET: five cap states (v, i) in the order gs, gd, gb, db,
+    /// sb, plus the cap values frozen for the current step.
+    fet_caps: Vec<[CapState; 5]>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -318,18 +313,19 @@ struct CapState {
 
 impl ReactiveState {
     fn init(circuit: &Circuit, topo: &Topology, x: &[f64]) -> Self {
-        let mut caps = HashMap::new();
-        let mut inductors = HashMap::new();
-        let mut fet_caps = HashMap::new();
+        let n = circuit.elements().len();
+        let mut caps = vec![(0.0, 0.0); n];
+        let mut inductors = vec![(0.0, 0.0); n];
+        let mut fet_caps = vec![[CapState::default(); 5]; n];
         for (idx, el) in circuit.elements().iter().enumerate() {
             match el {
                 Element::Capacitor { a, b, ic, .. } => {
                     let v = ic.unwrap_or(topo.voltage_in(x, *a) - topo.voltage_in(x, *b));
-                    caps.insert(idx, (v, 0.0));
+                    caps[idx] = (v, 0.0);
                 }
                 Element::Inductor { .. } => {
                     let i0 = topo.branch_ix(idx).map(|k| x[k]).unwrap_or(0.0);
-                    inductors.insert(idx, (i0, 0.0));
+                    inductors[idx] = (i0, 0.0);
                 }
                 Element::Fet(fet) => {
                     let vd = topo.voltage_in(x, fet.d);
@@ -347,7 +343,7 @@ impl ReactiveState {
                             i: 0.0,
                         };
                     }
-                    fet_caps.insert(idx, arr);
+                    fet_caps[idx] = arr;
                 }
                 _ => {}
             }
@@ -360,27 +356,26 @@ impl ReactiveState {
     }
 
     /// Updates states after a step is accepted at solution `x`.
-    // State maps were seeded from this same circuit's elements and the
-    // topology from the same netlist, so every lookup is an invariant,
-    // not a recoverable condition.
+    // The topology is derived from the same netlist, so every inductor has
+    // a branch row: an invariant, not a recoverable condition.
     #[allow(clippy::expect_used)]
     fn advance(&mut self, circuit: &Circuit, topo: &Topology, x: &[f64], dt: f64, method: Method) {
         for (idx, el) in circuit.elements().iter().enumerate() {
             match el {
                 Element::Capacitor { a, b, farads, .. } => {
-                    let (v_old, i_old) = self.caps[&idx];
+                    let (v_old, i_old) = self.caps[idx];
                     let v_new = topo.voltage_in(x, *a) - topo.voltage_in(x, *b);
                     let i_new = match method {
                         Method::Trapezoidal => 2.0 * farads / dt * (v_new - v_old) - i_old,
                         Method::BackwardEuler => farads / dt * (v_new - v_old),
                     };
-                    self.caps.insert(idx, (v_new, i_new));
+                    self.caps[idx] = (v_new, i_new);
                 }
                 Element::Inductor { a, b, .. } => {
                     let k = topo.branch_ix(idx).expect("inductor branch");
                     let i_new = x[k];
                     let v_new = topo.voltage_in(x, *a) - topo.voltage_in(x, *b);
-                    self.inductors.insert(idx, (i_new, v_new));
+                    self.inductors[idx] = (i_new, v_new);
                 }
                 Element::Fet(fet) => {
                     let vd = topo.voltage_in(x, fet.d);
@@ -390,7 +385,7 @@ impl ReactiveState {
                     let c = fet.capacitances(vd, vg, vs, vb);
                     let vals = [c.cgs, c.cgd, c.cgb, c.cdb, c.csb];
                     let pairs = fet_cap_pairs(fet);
-                    let arr = self.fet_caps.get_mut(&idx).expect("fet state");
+                    let arr = &mut self.fet_caps[idx];
                     for slot in 0..5 {
                         let (a, b) = pairs[slot];
                         let v_new = topo.voltage_in(x, a) - topo.voltage_in(x, b);
@@ -458,9 +453,8 @@ fn stamp_cap_companion(
 
 #[allow(clippy::too_many_arguments)]
 // The topology is derived from the very circuit being stamped, so every
-// branch element has a branch row and every reactive element a seeded
-// state entry; `expect` documents that invariant rather than a
-// recoverable condition.
+// branch element has a branch row; `expect` documents that invariant
+// rather than a recoverable condition.
 #[allow(clippy::expect_used)]
 fn assemble_tran(
     circuit: &Circuit,
@@ -483,7 +477,7 @@ fn assemble_tran(
                 stamp_conductance(mat, topo, *a, *b, 1.0 / ohms);
             }
             Element::Capacitor { a, b, farads, .. } => {
-                let (v, i) = states.caps[&idx];
+                let (v, i) = states.caps[idx];
                 stamp_cap_companion(mat, rhs, topo, *a, *b, *farads, v, i, dt, method);
             }
             Element::Inductor { a, b, henries, .. } => {
@@ -495,7 +489,7 @@ fn assemble_tran(
                 if let Some(ib) = topo.vix(*b) {
                     mat.stamp(k, ib, -1.0);
                 }
-                let (i_old, v_old) = states.inductors[&idx];
+                let (i_old, v_old) = states.inductors[idx];
                 match method {
                     Method::Trapezoidal => {
                         let r = 2.0 * henries / dt;
@@ -578,7 +572,7 @@ fn assemble_tran(
                 }
                 // Charge storage: frozen caps as companions.
                 let pairs = fet_cap_pairs(fet);
-                let arr = &states.fet_caps[&idx];
+                let arr = &states.fet_caps[idx];
                 for slot in 0..5 {
                     let (a, b) = pairs[slot];
                     let st = arr[slot];
@@ -762,5 +756,126 @@ mod tests {
             "final low, got {}",
             v.last().unwrap()
         );
+    }
+
+    /// `newton_step` as it ran before buffer reuse: a fresh matrix and a
+    /// fresh solution vector per iteration, from the allocating
+    /// `Matrix::solve`.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_newton_step(
+        s: &TranSolver,
+        circuit: &Circuit,
+        topo: &Topology,
+        x_prev: &[f64],
+        states: &ReactiveState,
+        t: f64,
+        dt: f64,
+        method: Method,
+    ) -> Result<Vec<f64>, AnalysisError> {
+        let dim = topo.dim();
+        let mut x = x_prev.to_vec();
+        for _ in 0..s.max_newton {
+            let mut mat = Matrix::<f64>::zero(dim);
+            let mut rhs = vec![0.0; dim];
+            assemble_tran(circuit, topo, &x, states, t, dt, method, &mut mat, &mut rhs);
+            let x_new = mat.solve(&rhs)?;
+            let mut max_dv: f64 = 0.0;
+            for i in 0..topo.node_unknowns() {
+                max_dv = max_dv.max((x_new[i] - x[i]).abs());
+            }
+            for (i, xi) in x.iter_mut().enumerate() {
+                if i < topo.node_unknowns() {
+                    *xi += (x_new[i] - *xi).clamp(-0.3, 0.3);
+                } else {
+                    *xi = x_new[i];
+                }
+            }
+            if max_dv < s.vtol {
+                return Ok(x);
+            }
+        }
+        Err(AnalysisError::NoConvergence {
+            phase: "reference".to_string(),
+            iterations: s.max_newton,
+        })
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn reused_buffers_match_fresh_allocations_bit_for_bit() {
+        use crate::devices::{FetInstance, FetModel, FetPolarity};
+        // An inverter switching under a pulse, through an inductor so
+        // every element kind with reactive state takes part.
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let vin = c.node("vin");
+        let gate = c.node("gate");
+        let out = c.node("out");
+        c.vsource("VDD", vdd, Circuit::GROUND, 0.8);
+        c.vsource_wave(
+            "VIN",
+            vin,
+            Circuit::GROUND,
+            Waveform::Pulse {
+                v1: 0.0,
+                v2: 0.8,
+                delay: 0.1e-9,
+                rise: 20e-12,
+                fall: 20e-12,
+                width: 0.2e-9,
+                period: f64::INFINITY,
+            },
+            0.0,
+        );
+        c.inductor("LG", vin, gate, 1e-9).unwrap();
+        for (name, src, polarity, w) in [
+            ("MN", Circuit::GROUND, FetPolarity::Nmos, 2e-6),
+            ("MP", vdd, FetPolarity::Pmos, 4e-6),
+        ] {
+            let mut fet = FetInstance::new(
+                name,
+                out,
+                gate,
+                src,
+                src,
+                FetModel::ideal(polarity),
+                w,
+                50e-9,
+            );
+            fet.model.cox = 0.02;
+            c.fet(fet).unwrap();
+        }
+        c.capacitor("CL", out, Circuit::GROUND, 2e-15).unwrap();
+        let solver = TranSolver::new(2e-12, 0.5e-9);
+        let run = solver.solve(&c).unwrap();
+
+        // Replay the run step by step: one buffer reused across every
+        // step and iteration against fresh allocations per iteration.
+        let topo = Topology::build(&c);
+        let mut x = DcSolver::new().solve_vector(&c, &topo).unwrap();
+        assert_eq!(bits(&run.data[0]), bits(&x));
+        let mut states = ReactiveState::init(&c, &topo, &x);
+        let mut buf = MnaBuffers::new(topo.dim());
+        for step in 1..run.len() {
+            let t = run.times()[step];
+            let method = if step == 1 {
+                Method::BackwardEuler
+            } else {
+                Method::Trapezoidal
+            };
+            let reused = solver
+                .newton_step(&c, &topo, &x, &states, t, solver.dt, method, &mut buf)
+                .unwrap();
+            let fresh =
+                reference_newton_step(&solver, &c, &topo, &x, &states, t, solver.dt, method)
+                    .unwrap();
+            assert_eq!(bits(&reused), bits(&fresh), "step {step}");
+            assert_eq!(bits(&run.data[step]), bits(&fresh), "step {step}");
+            states.advance(&c, &topo, &fresh, solver.dt, method);
+            x = fresh;
+        }
     }
 }

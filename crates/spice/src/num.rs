@@ -1,8 +1,24 @@
-//! Numeric kernel: complex arithmetic and dense LU factorization.
+//! Numeric kernel: complex arithmetic and a structure-skipping LU.
 //!
-//! Circuit matrices at the primitive level are tiny (tens of unknowns), so a
-//! dense LU with partial pivoting is both exact enough and faster than any
-//! sparse machinery would be at this size.
+//! Primitive-level MNA systems are small and mostly zero: a StrongARM
+//! testbench matrix has n ≈ 30 unknowns but only about 79 nonzeros of its
+//! ~900 entries, and about 113 after fill. Dense LU pays for every zero in
+//! O(n³) elimination and in a back-substitution chain over zeros.
+//! [`Matrix::solve_in_place`] keeps dense row-major storage and the exact
+//! partial-pivoting sequence, but skips exact zeros: rows with a zero in
+//! the pivot column are not touched, the other rows are updated only at
+//! the pivot row's nonzero columns (recorded once per pivot row: U's row
+//! structure), and back substitution walks only those recorded columns.
+//!
+//! A skipped update would have subtracted `f·0 = ±0` for a finite factor
+//! `f`, which changes no bit of a nonzero operand and cannot turn `+0.0`
+//! into `-0.0` (a non-finite `f`, which only overflow can produce, updates
+//! every column). MNA assembly stamps by addition onto `+0.0`, so its
+//! systems never hold `-0.0`, and on them the kernel returns the same bits
+//! and errors as plain dense elimination with the same pivots, which
+//! `num/dense_reference.rs` keeps as the test reference. Only an input that
+//! already holds `-0.0` can see the sign of an exactly-zero solution
+//! component differ.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -241,6 +257,10 @@ impl Scalar for Complex {
 
 /// A dense, row-major square matrix over a [`Scalar`] field.
 ///
+/// Besides the entries it owns the index scratch of
+/// [`Matrix::solve_in_place`], so a matrix reused across Newton iterations
+/// factors without allocating once it has been solved.
+///
 /// # Example
 ///
 /// ```
@@ -250,11 +270,30 @@ impl Scalar for Complex {
 /// m[(1, 1)] = 4.0;
 /// let x = m.solve(&[2.0, 8.0]).unwrap();
 /// assert_eq!(x, vec![1.0, 2.0]);
+///
+/// // In place: `m` now holds its LU factors and `b` the solution.
+/// let mut b = [2.0, 8.0];
+/// m.solve_in_place(&mut b).unwrap();
+/// assert_eq!(b, [1.0, 2.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Matrix<T> {
     n: usize,
     data: Vec<T>,
+    /// Columns of U's off-diagonal nonzeros, row after row, as recorded by
+    /// the last [`Matrix::solve_in_place`].
+    u_cols: Vec<usize>,
+    /// Row `k` of U owns `u_cols[u_start[k]..u_start[k + 1]]`.
+    u_start: Vec<usize>,
+    /// Rows below the current pivot with a nonzero in its column.
+    elim_rows: Vec<usize>,
+}
+
+/// Equality compares the entries only, not the factorization scratch.
+impl<T: PartialEq> PartialEq for Matrix<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.data == other.data
+    }
 }
 
 /// Error returned when an MNA system cannot be solved.
@@ -291,6 +330,9 @@ impl<T: Scalar> Matrix<T> {
         Matrix {
             n,
             data: vec![T::ZERO; n * n],
+            u_cols: Vec::new(),
+            u_start: Vec::new(),
+            elim_rows: Vec::new(),
         }
     }
 
@@ -315,30 +357,83 @@ impl<T: Scalar> Matrix<T> {
 
     /// Solves `A·x = b` by LU factorization with partial pivoting.
     ///
-    /// The matrix is not modified; a working copy is factored.
+    /// The matrix is not modified: a working copy is factored with
+    /// [`Matrix::solve_in_place`], whose results and errors this returns.
     ///
     /// # Errors
     ///
-    /// Returns [`LinearError::Singular`] when no acceptable pivot exists,
-    /// [`LinearError::DimensionMismatch`] when `b.len() != dim()`, and
-    /// [`LinearError::NotFinite`] when inputs contain NaN/∞.
+    /// As [`Matrix::solve_in_place`].
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, LinearError> {
-        if b.len() != self.n {
+        let mut work = Matrix {
+            n: self.n,
+            data: self.data.clone(),
+            u_cols: Vec::new(),
+            u_start: Vec::new(),
+            elim_rows: Vec::new(),
+        };
+        let mut x = b.to_vec();
+        work.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` in place: the matrix is overwritten with its LU
+    /// factors and `rhs` (holding `b`) with `x`.
+    ///
+    /// Partial pivoting picks the largest-magnitude entry of each column,
+    /// the first row on ties. The elimination skips every exact zero: a row
+    /// whose entry in the pivot column is zero is left alone, the other
+    /// rows are updated only at the pivot row's nonzero columns, and back
+    /// substitution walks only those columns (see the module docs). After
+    /// the first call on a matrix of this size nothing is allocated.
+    ///
+    /// On error the contents of the matrix and of `rhs` are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinearError::DimensionMismatch`] when
+    /// `rhs.len() != dim()`, [`LinearError::NotFinite`] when the matrix or
+    /// `rhs` holds NaN/∞ (checked before any pivot, so it wins over
+    /// singularity) or the solution does, and [`LinearError::Singular`]
+    /// with the elimination step at which no pivot of magnitude at least
+    /// 1e-300 exists.
+    pub fn solve_in_place(&mut self, rhs: &mut [T]) -> Result<(), LinearError> {
+        let n = self.n;
+        if rhs.len() != n {
             return Err(LinearError::DimensionMismatch);
         }
-        if self.data.iter().any(|v| v.is_bad()) || b.iter().any(|v| v.is_bad()) {
+        if any_bad(&self.data) || any_bad(rhs) {
             return Err(LinearError::NotFinite);
         }
-        let n = self.n;
-        let mut a = self.data.clone();
-        let mut x: Vec<T> = b.to_vec();
+        let Matrix {
+            data: a,
+            u_cols,
+            u_start,
+            elim_rows,
+            ..
+        } = self;
+        u_cols.clear();
+        u_cols.reserve(n * n.saturating_sub(1) / 2);
+        u_start.clear();
+        u_start.reserve(n + 1);
+        u_start.push(0);
+        elim_rows.clear();
+        elim_rows.reserve(n);
 
         for k in 0..n {
-            // Partial pivoting: choose the largest-magnitude entry in column k.
+            // Partial pivoting: the largest-magnitude entry in column k,
+            // the first row on ties. Rows below with a zero there can
+            // neither win nor need elimination, so only the others are
+            // listed for the elimination below.
+            elim_rows.clear();
             let mut piv = k;
             let mut piv_mag = a[k * n + k].magnitude();
             for r in (k + 1)..n {
-                let mag = a[r * n + k].magnitude();
+                let v = a[r * n + k];
+                if v == T::ZERO {
+                    continue;
+                }
+                elim_rows.push(r);
+                let mag = v.magnitude();
                 if mag > piv_mag {
                     piv = r;
                     piv_mag = mag;
@@ -348,42 +443,64 @@ impl<T: Scalar> Matrix<T> {
                 return Err(LinearError::Singular { step: k });
             }
             if piv != k {
-                for c in 0..n {
-                    a.swap(k * n + c, piv * n + c);
-                }
-                x.swap(k, piv);
+                // Row k takes the pivot's place in the list; if its entry in
+                // column k is zero, its factor is zero and it is skipped.
+                let (top, bottom) = a.split_at_mut(piv * n);
+                top[k * n..(k + 1) * n].swap_with_slice(&mut bottom[..n]);
+                rhs.swap(k, piv);
             }
-            let pivot = a[k * n + k];
-            // Slice-based elimination: the pivot row is disjoint from every
-            // row below it, so split the storage once and let the inner
-            // update run over contiguous slices (vectorizes well).
+            // The pivot row is final from here on: its nonzero columns are
+            // U's row structure, used below and by back substitution.
             let (upper, lower) = a.split_at_mut((k + 1) * n);
             let prow = &upper[k * n..];
-            for (ri, row) in lower.chunks_exact_mut(n).enumerate() {
+            let first = u_cols.len();
+            for (c, v) in prow.iter().enumerate().skip(k + 1) {
+                if *v != T::ZERO {
+                    u_cols.push(c);
+                }
+            }
+            u_start.push(u_cols.len());
+            let cols = &u_cols[first..];
+            let pivot = prow[k];
+            let xk = rhs[k];
+            for &r in elim_rows.iter() {
+                let row = &mut lower[(r - k - 1) * n..(r - k) * n];
                 let factor = row[k] / pivot;
                 if factor == T::ZERO {
                     continue;
                 }
                 row[k] = factor;
-                for (rc, &kc) in row[(k + 1)..n].iter_mut().zip(&prow[(k + 1)..n]) {
-                    *rc -= factor * kc;
+                if factor.is_bad() {
+                    // Only overflow earlier in the elimination gets here;
+                    // a non-finite factor turns `factor · 0` into NaN, so
+                    // update every column to keep the dense result.
+                    for (rc, &kc) in row[(k + 1)..].iter_mut().zip(&prow[(k + 1)..]) {
+                        *rc -= factor * kc;
+                    }
+                } else {
+                    for &c in cols {
+                        let sub = factor * prow[c];
+                        row[c] -= sub;
+                    }
                 }
-                let sub = factor * x[k];
-                x[k + 1 + ri] -= sub;
+                let sub = factor * xk;
+                rhs[r] -= sub;
             }
         }
-        // Back substitution.
+        // Back substitution over U's recorded nonzeros.
         for k in (0..n).rev() {
-            for c in (k + 1)..n {
-                let sub = a[k * n + c] * x[c];
-                x[k] -= sub;
+            let row = &a[k * n..(k + 1) * n];
+            let mut xk = rhs[k];
+            for &c in &u_cols[u_start[k]..u_start[k + 1]] {
+                let sub = row[c] * rhs[c];
+                xk -= sub;
             }
-            x[k] = x[k] / a[k * n + k];
+            rhs[k] = xk / row[k];
         }
-        if x.iter().any(|v| v.is_bad()) {
+        if any_bad(rhs) {
             return Err(LinearError::NotFinite);
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Computes `A·x` (used by tests and residual checks).
@@ -402,6 +519,33 @@ impl<T: Scalar> Matrix<T> {
     }
 }
 
+/// `true` if any value is NaN/∞.
+///
+/// `v - v` is `+0` for every finite `v` and NaN otherwise, and a NaN
+/// survives every sum, so summing the differences finds a bad value
+/// without a branch per entry; eight independent sums keep the adds off
+/// one serial dependency chain.
+// `v - v` is the probe, not a slip.
+#[allow(clippy::eq_op)]
+fn any_bad<T: Scalar>(values: &[T]) -> bool {
+    let mut sums = [T::ZERO; 8];
+    let chunks = values.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (sum, &v) in sums.iter_mut().zip(chunk) {
+            *sum += v - v;
+        }
+    }
+    let mut total = T::ZERO;
+    for &v in tail {
+        total += v - v;
+    }
+    for sum in sums {
+        total += sum;
+    }
+    total.is_bad()
+}
+
 impl<T> std::ops::Index<(usize, usize)> for Matrix<T> {
     type Output = T;
     #[inline]
@@ -418,8 +562,13 @@ impl<T> std::ops::IndexMut<(usize, usize)> for Matrix<T> {
 }
 
 #[cfg(test)]
+mod dense_reference;
+
+#[cfg(test)]
 mod tests {
+    use super::dense_reference::{dense_solve, mna_like, parity, Fixture, SplitMix};
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn complex_basic_arithmetic() {
@@ -527,6 +676,197 @@ mod tests {
         let back = m.mul_vec(&x);
         for (bi, yi) in b.iter().zip(back.iter()) {
             assert!((bi - yi).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn exact_cancellation_is_skipped_bit_for_bit() {
+        // Column 0 pivots on row 1 (factor 0.5 for row 0), which cancels
+        // entry (1, 1) to an exact zero; column 1 then pivots on the last
+        // row and the cancelled row is skipped.
+        let mut m = Matrix::<f64>::zero(3);
+        for (r, row) in [[1.0, 2.0, 3.0], [2.0, 4.0, 7.0], [0.0, 1.0, 1.0]]
+            .iter()
+            .enumerate()
+        {
+            for (c, v) in row.iter().enumerate() {
+                m[(r, c)] = *v;
+            }
+        }
+        let b = [1.0, 2.0, 3.0];
+        parity(&m, &b).unwrap();
+        let mut lu = m.clone();
+        let mut x = b;
+        lu.solve_in_place(&mut x).unwrap();
+        assert_eq!(x.to_vec(), dense_solve(&m, &b).unwrap());
+        // U's recorded structure: row 0 {1, 2}, row 1 {2}, row 2 {}.
+        assert_eq!(lu.u_cols, vec![1, 2, 2]);
+        assert_eq!(lu.u_start, vec![0, 2, 3, 3]);
+    }
+
+    #[test]
+    fn overflow_nan_factor_updates_every_column() {
+        // Finite inputs whose elimination overflows to ∞ and then to a NaN
+        // factor: `NaN · 0` must reach the pivot row's zero columns too,
+        // or the kernel reports `NotFinite` where dense LU is singular.
+        let rows = [
+            [0.0, 0.0, 2.0, 0.0],
+            [2.0, 1.0, -1e308, 2.0],
+            [2.0, 0.0, 1e308, 0.0],
+            [2.0, 0.0, 1.5e308, -1e308],
+        ];
+        let mut m = Matrix::<f64>::zero(4);
+        for (r, row) in rows.iter().enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                m[(r, c)] = *v;
+            }
+        }
+        let b = [1.0, 0.0, 0.0, 1.0];
+        assert_eq!(m.solve(&b), Err(LinearError::Singular { step: 3 }));
+        parity(&m, &b).unwrap();
+    }
+
+    #[test]
+    fn negative_zero_input_may_flip_the_sign_of_a_zero() {
+        // The documented limit of skipping: the reference subtracts
+        // 0·(−1) = −0 from b₀ = −0 and gets +0; the kernel skips it.
+        let mut m = Matrix::<f64>::zero(2);
+        m[(0, 0)] = 1.0;
+        m[(1, 1)] = 1.0;
+        let b = [-0.0, -1.0];
+        let want = dense_solve(&m, &b).unwrap();
+        let got = m.solve(&b).unwrap();
+        assert_eq!(want, got);
+        assert_eq!(want[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(got[0].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn reused_matrix_factors_without_growing_its_scratch() {
+        let (m, b) = mna_like::<f64>(30, &mut SplitMix(7));
+        let mut work = m.clone();
+        let mut x = b.clone();
+        let first = work.solve_in_place(&mut x);
+        let capacities = |m: &Matrix<f64>| {
+            (
+                m.u_cols.capacity(),
+                m.u_start.capacity(),
+                m.elim_rows.capacity(),
+            )
+        };
+        let caps = capacities(&work);
+        for _ in 0..3 {
+            work.clear();
+            for r in 0..30 {
+                for c in 0..30 {
+                    work.stamp(r, c, m[(r, c)]);
+                }
+            }
+            x.copy_from_slice(&b);
+            assert_eq!(work.solve_in_place(&mut x), first);
+            assert_eq!(capacities(&work), caps);
+        }
+    }
+
+    #[test]
+    fn mna_generator_covers_swaps_and_singular_systems() {
+        let (mut zero_diagonal, mut singular, mut solved) = (0, 0, 0);
+        for seed in 0..200 {
+            let (m, b) = mna_like::<f64>(1 + seed as usize % 40, &mut SplitMix(seed));
+            zero_diagonal += usize::from((0..m.dim()).any(|i| m[(i, i)] == 0.0));
+            match dense_solve(&m, &b) {
+                Ok(_) => solved += 1,
+                Err(LinearError::Singular { .. }) => singular += 1,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        assert!(
+            zero_diagonal > 100,
+            "{zero_diagonal} systems with a zero diagonal"
+        );
+        assert!(
+            singular > 5 && solved > 150,
+            "{singular} singular, {solved} solved"
+        );
+    }
+
+    /// Puts NaN, +∞ or −∞ into `m` or `b` at a position picked by `rng`.
+    fn poison<T: Fixture>(m: &mut Matrix<T>, b: &mut [T], rng: &mut SplitMix) {
+        let bad = T::real([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)]);
+        let n = m.dim();
+        if rng.below(2) == 0 {
+            m[(rng.below(n), rng.below(n))] = bad;
+        } else {
+            b[rng.below(n)] = bad;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On sparse, pivoting MNA-like systems the kernel returns exactly
+        /// the reference's bits, or the reference's error.
+        #[test]
+        fn kernel_matches_dense_reference_real(n in 1usize..=80, seed in any::<u64>()) {
+            let (m, b) = mna_like::<f64>(n, &mut SplitMix(seed));
+            let checked = parity(&m, &b);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+
+        #[test]
+        fn kernel_matches_dense_reference_complex(n in 1usize..=80, seed in any::<u64>()) {
+            let (m, b) = mna_like::<Complex>(n, &mut SplitMix(seed));
+            let checked = parity(&m, &b);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+
+        /// A singular column reports the reference's step.
+        #[test]
+        fn singular_step_matches_reference(n in 2usize..=40, seed in any::<u64>()) {
+            let mut rng = SplitMix(seed);
+            let (mut m, b) = mna_like::<f64>(n, &mut rng);
+            let dead = rng.below(n);
+            for r in 0..n {
+                m[(r, dead)] = 0.0;
+            }
+            let got = m.solve(&b);
+            prop_assert!(matches!(got, Err(LinearError::Singular { step }) if step <= dead));
+            let checked = parity(&m, &b);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+
+        /// NaN/∞ anywhere in A or b is `NotFinite`, even when an all-zero
+        /// column would make an earlier elimination step singular.
+        #[test]
+        fn non_finite_input_wins_over_singularity(n in 2usize..=40, seed in any::<u64>()) {
+            let mut rng = SplitMix(seed);
+            let (mut m, mut b) = mna_like::<f64>(n, &mut rng);
+            let (mut mc, mut bc) = mna_like::<Complex>(n, &mut rng);
+            if rng.below(2) == 0 {
+                for r in 0..n {
+                    m[(r, 0)] = 0.0;
+                    mc[(r, 0)] = Complex::ZERO;
+                }
+            }
+            poison(&mut m, &mut b, &mut rng);
+            poison(&mut mc, &mut bc, &mut rng);
+            prop_assert_eq!(m.solve(&b), Err(LinearError::NotFinite));
+            prop_assert_eq!(mc.solve(&bc), Err(LinearError::NotFinite));
+            let checked = parity(&m, &b).and_then(|()| parity(&mc, &bc));
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+
+        #[test]
+        fn dimension_mismatch_matches_reference(n in 1usize..=20, longer in any::<bool>()) {
+            let (m, mut b) = mna_like::<f64>(n, &mut SplitMix(n as u64));
+            if longer {
+                b.push(1.0);
+            } else {
+                b.pop();
+            }
+            prop_assert_eq!(m.solve(&b), Err(LinearError::DimensionMismatch));
+            let checked = parity(&m, &b);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
     }
 }

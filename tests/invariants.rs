@@ -13,7 +13,14 @@ use prima_primitives::{Metric, MetricKind};
 use prima_route::{GlobalRouter, RoutingProblem};
 use prima_spice::analysis::dc::DcSolver;
 use prima_spice::netlist::Circuit;
-use prima_spice::num::Matrix;
+use prima_spice::num::{Complex, LinearError, Matrix, Scalar};
+
+/// The dense LU reference and the sparse MNA-like system generator shared
+/// with the unit tests of `prima_spice::num`.
+#[path = "../crates/spice/src/num/dense_reference.rs"]
+mod dense_reference;
+
+use dense_reference::{mna_like, parity, SplitMix};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -46,6 +53,21 @@ proptest! {
         for (bi, yi) in b.iter().zip(back.iter()) {
             prop_assert!((bi - yi).abs() < 1e-8, "residual {}", (bi - yi).abs());
         }
+    }
+
+    /// The structure-skipping LU returns bit for bit what dense partial
+    /// pivoting returns — or the same error — on sparse, non-diagonally-
+    /// dominant MNA-like systems that need row swaps, real and complex.
+    #[test]
+    fn lu_matches_dense_reference_on_sparse_mna_systems(
+        n in 1usize..=80,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SplitMix(seed);
+        let (m, b) = mna_like::<f64>(n, &mut rng);
+        let (mc, bc) = mna_like::<Complex>(n, &mut rng);
+        let checked = parity(&m, &b).and_then(|()| parity(&mc, &bc));
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
     /// A resistive divider chain solves to voltages that are monotone along
