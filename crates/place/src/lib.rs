@@ -202,22 +202,26 @@ impl Placement {
         problem
             .nets
             .iter()
-            .map(|net| {
-                if net.pins.len() < 2 {
-                    return 0;
-                }
-                let mut bb: Option<Rect> = None;
-                for &p in &net.pins {
-                    let c = self.rect(problem, p).center();
-                    let r = Rect::new(c, c);
-                    bb = Some(match bb {
-                        Some(b) => b.union(&r),
-                        None => r,
-                    });
-                }
-                bb.map(|b| b.half_perimeter()).unwrap_or(0)
-            })
+            .map(|net| self.net_hpwl(problem, net))
             .sum()
+    }
+
+    /// Half-perimeter wirelength of one net over its pins' block centers
+    /// (0 for fewer than two pins).
+    fn net_hpwl(&self, problem: &PlacementProblem, net: &Net) -> Nm {
+        if net.pins.len() < 2 {
+            return 0;
+        }
+        let mut bb: Option<Rect> = None;
+        for &p in &net.pins {
+            let c = self.rect(problem, p).center();
+            let r = Rect::new(c, c);
+            bb = Some(match bb {
+                Some(b) => b.union(&r),
+                None => r,
+            });
+        }
+        bb.map(|b| b.half_perimeter()).unwrap_or(0)
     }
 
     /// Number of overlapping block pairs.
@@ -286,18 +290,50 @@ impl Placer {
 
     /// Runs the annealer.
     ///
+    /// A move displaces, swaps or re-variants one or two blocks (plus the
+    /// symmetry partners it drags along), so the cost is updated from those
+    /// blocks alone. The loop keeps the HPWL of every net and the overlap
+    /// area of every block pair as integers, recomputes only the nets and
+    /// pairs that touch a changed block plus the bounding box (O(n)),
+    /// applies the move in place and undoes it when rejected.
+    ///
+    /// This gives bit for bit the placement of recomputing the full cost
+    /// per move. Every cost term is built from integer geometry and the
+    /// cost is formed from the integer totals by the same `f64` expression.
+    /// The full recompute sums the pair overlaps in `f64`, which is exact
+    /// while the sum stays at or below 2⁵³ nm² (about 9,000 mm² of overlap;
+    /// a debug assertion checks the bound). Under it both give the same
+    /// cost bits, hence the same accept/reject decisions, the same random
+    /// draws and the same placement.
+    ///
     /// # Errors
     ///
-    /// Returns [`PlaceError::BadProblem`] for empty problems or symmetry
-    /// pairs whose variants cannot mirror (different sizes in every
-    /// combination), and [`PlaceError::Illegal`] when overlaps survive the
-    /// schedule.
+    /// Returns [`PlaceError::BadProblem`] for empty problems, net pins
+    /// that name no block, and symmetry pairs whose variants cannot mirror
+    /// (different sizes in every combination), and [`PlaceError::Illegal`]
+    /// when overlaps survive the schedule.
     pub fn place(&self, problem: &PlacementProblem) -> Result<Placement, PlaceError> {
+        self.anneal(problem).map(|(placement, _)| placement)
+    }
+
+    /// The annealing loop of [`Placer::place`]; also returns the best
+    /// placement's cost.
+    fn anneal(&self, problem: &PlacementProblem) -> Result<(Placement, f64), PlaceError> {
         let n = problem.blocks.len();
         if n == 0 {
             return Err(PlaceError::BadProblem {
                 reason: "no blocks".to_string(),
             });
+        }
+        for net in &problem.nets {
+            if let Some(&pin) = net.pins.iter().find(|&&pin| pin >= n) {
+                return Err(PlaceError::BadProblem {
+                    reason: format!(
+                        "net {} has pin {pin} but the problem has {n} blocks",
+                        net.name
+                    ),
+                });
+            }
         }
         let mut pair_variants = Vec::with_capacity(problem.symmetry.len());
         for &(a, b) in &problem.symmetry {
@@ -338,30 +374,44 @@ impl Placer {
         for &(a, b, (va, vb)) in &pair_variants {
             state.variants[a] = va;
             state.variants[b] = vb;
-            self.enforce_pair(problem, &mut state, a, b);
+            state.positions[b] = mirror_of(problem, &state, a);
         }
 
-        let mut cost = self.cost(problem, &state);
+        let mut terms = CostTerms::new(problem, &state);
+        let mut cost = self.cost_of(terms.hpwl, state.bbox(problem), terms.overlap);
         let mut best = state.clone();
         let mut best_cost = cost;
         let mut temp = self.t0;
+        let mut undo = Vec::new();
+        let mut changed = Vec::new();
 
         for _ in 0..self.temp_steps {
             for _ in 0..moves_per_temp {
-                let candidate = self.propose(problem, &state, &mut rng, grid);
-                let c = self.cost(problem, &candidate);
+                self.propose(problem, &mut state, &mut rng, grid, &mut undo);
+                changed.clear();
+                changed.extend(undo.iter().filter(|s| s.differs(&state)).map(|s| s.block));
+                let (hpwl, overlap) = terms.stage(problem, &state, &changed);
+                let c = self.cost_of(hpwl, state.bbox(problem), overlap);
+                #[cfg(test)]
+                assert_eq!(c.to_bits(), self.cost(problem, &state).to_bits());
                 let accept = c <= cost || {
                     let p = ((cost - c) / temp).exp();
                     rng.gen::<f64>() < p
                 };
                 if accept {
-                    state = candidate;
+                    terms.commit();
                     cost = c;
                     if c < best_cost {
-                        best = state.clone();
+                        best.clone_from(&state);
                         best_cost = c;
                     }
+                } else {
+                    for s in &undo {
+                        s.restore(&mut state);
+                    }
                 }
+                #[cfg(test)]
+                self.audit(problem, &state, &terms, cost);
             }
             temp *= self.cooling;
         }
@@ -370,36 +420,54 @@ impl Placer {
         if overlaps > 0 {
             return Err(PlaceError::Illegal { overlaps });
         }
-        Ok(best)
+        Ok((best, best_cost))
     }
 
-    /// Annealing cost: HPWL + area + overlap penalty.
-    fn cost(&self, problem: &PlacementProblem, p: &Placement) -> f64 {
-        let hpwl = p.hpwl(problem) as f64;
-        let bb = p.bbox(problem);
+    /// Annealing cost from its integer terms: HPWL + area + overlap
+    /// penalty, the last proportional to the overlapping area and steep.
+    fn cost_of(&self, hpwl: Nm, bb: Rect, overlap: i128) -> f64 {
+        debug_assert!(
+            overlap <= EXACT_F64_INT,
+            "overlap sum {overlap} nm² exceeds 2^53: the full-recompute cost would round"
+        );
+        let hpwl = hpwl as f64;
         let area = (bb.width() as f64) * (bb.height() as f64);
-        // Overlap penalty proportional to overlapping area, steep.
-        let mut overlap = 0.0;
-        let n = problem.blocks.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if let Some(x) = p.rect(problem, i).intersection(&p.rect(problem, j)) {
-                    overlap += (x.width() as f64) * (x.height() as f64);
-                }
-            }
-        }
+        let overlap = overlap as f64;
         hpwl + self.area_weight * area.sqrt() + 50.0 * overlap.sqrt() * (1.0 + overlap.sqrt())
     }
 
-    /// Proposes a random move, preserving symmetry pairs.
+    /// The full-recompute cost, the oracle of the incremental one.
+    #[cfg(test)]
+    fn cost(&self, problem: &PlacementProblem, p: &Placement) -> f64 {
+        reference::reference_cost(self, problem, p)
+    }
+
+    /// Test hook, run after every accepted and every rejected move: the
+    /// kept terms equal a fresh build from `state`, and `cost` equals the
+    /// full recompute bit for bit.
+    #[cfg(test)]
+    fn audit(&self, problem: &PlacementProblem, state: &Placement, terms: &CostTerms, cost: f64) {
+        let fresh = CostTerms::new(problem, state);
+        assert_eq!((terms.hpwl, &terms.net_hpwl), (fresh.hpwl, &fresh.net_hpwl));
+        assert_eq!(
+            (terms.overlap, &terms.pair_overlap),
+            (fresh.overlap, &fresh.pair_overlap)
+        );
+        assert_eq!(cost.to_bits(), self.cost(problem, state).to_bits());
+    }
+
+    /// Applies a random move to `state` in place, preserving symmetry
+    /// pairs, and records in `undo` the prior state of each block it
+    /// writes.
     fn propose(
         &self,
         problem: &PlacementProblem,
-        state: &Placement,
+        state: &mut Placement,
         rng: &mut StdRng,
         grid: Nm,
-    ) -> Placement {
-        let mut cand = state.clone();
+        undo: &mut Vec<Saved>,
+    ) {
+        undo.clear();
         let n = problem.blocks.len();
         let kind = rng.gen_range(0..4);
         let i = rng.gen_range(0..n);
@@ -408,46 +476,208 @@ impl Placer {
             0 => {
                 let dx = rng.gen_range(-2 * grid..=2 * grid);
                 let dy = rng.gen_range(-2 * grid..=2 * grid);
-                cand.positions[i] = cand.positions[i].offset(dx, dy);
+                save(undo, state, i);
+                state.positions[i] = state.positions[i].offset(dx, dy);
             }
             // Swap positions of two blocks.
             1 => {
                 let j = rng.gen_range(0..n);
-                cand.positions.swap(i, j);
+                save(undo, state, i);
+                save(undo, state, j);
+                state.positions.swap(i, j);
             }
             // Change variant.
             2 => {
                 let nv = problem.blocks[i].variants.len();
                 if nv > 1 {
-                    cand.variants[i] = rng.gen_range(0..nv);
+                    save(undo, state, i);
+                    state.variants[i] = rng.gen_range(0..nv);
                 }
             }
             // Small jitter for refinement.
             _ => {
                 let dx = rng.gen_range(-grid / 4..=grid / 4);
                 let dy = rng.gen_range(-grid / 4..=grid / 4);
-                cand.positions[i] = cand.positions[i].offset(dx, dy);
+                save(undo, state, i);
+                state.positions[i] = state.positions[i].offset(dx, dy);
             }
         }
         // Re-impose symmetry for any touched pair.
         for &(a, b) in &problem.symmetry {
-            if let Some((va, vb)) = matching_variants_including(problem, a, b, cand.variants[a]) {
-                cand.variants[a] = va;
-                cand.variants[b] = vb;
+            if let Some((va, vb)) = matching_variants_including(problem, a, b, state.variants[a]) {
+                if (state.variants[a], state.variants[b]) != (va, vb) {
+                    save(undo, state, a);
+                    save(undo, state, b);
+                    state.variants[a] = va;
+                    state.variants[b] = vb;
+                }
             }
-            self.enforce_pair(problem, &mut cand, a, b);
+            let mirrored = mirror_of(problem, state, a);
+            if state.positions[b] != mirrored {
+                save(undo, state, b);
+                state.positions[b] = mirrored;
+            }
         }
-        cand
+    }
+}
+
+/// Largest integer up to which every integer is exact in `f64` (2⁵³).
+const EXACT_F64_INT: i128 = 1 << 53;
+
+/// A block's position and variant before the current move wrote them.
+struct Saved {
+    block: usize,
+    position: Point,
+    variant: usize,
+}
+
+impl Saved {
+    /// Whether the move left the block somewhere else or in another variant.
+    fn differs(&self, state: &Placement) -> bool {
+        state.positions[self.block] != self.position || state.variants[self.block] != self.variant
     }
 
-    /// Places `b` as the mirror of `a` about the axis at their midpoint,
-    /// sharing y.
-    fn enforce_pair(&self, problem: &PlacementProblem, p: &mut Placement, a: usize, b: usize) {
-        let (wa, _) = problem.blocks[a].variants[p.variants[a]];
-        // b abuts a to the right with a one-pitch gap, same y: a rigid
-        // mirrored unit whose internal axis sits between the two blocks.
-        let gap = 200;
-        p.positions[b] = Point::new(p.positions[a].x + wa + gap, p.positions[a].y);
+    /// Puts the block back.
+    fn restore(&self, state: &mut Placement) {
+        state.positions[self.block] = self.position;
+        state.variants[self.block] = self.variant;
+    }
+}
+
+/// Records block `k`'s state in `undo` unless the move already has.
+fn save(undo: &mut Vec<Saved>, state: &Placement, k: usize) {
+    if undo.iter().all(|s| s.block != k) {
+        undo.push(Saved {
+            block: k,
+            position: state.positions[k],
+            variant: state.variants[k],
+        });
+    }
+}
+
+/// Where block `b` of a symmetry pair `(a, b)` sits: it abuts `a` to the
+/// right with a one-pitch gap, same y — a rigid mirrored unit whose internal
+/// axis sits between the two blocks.
+fn mirror_of(problem: &PlacementProblem, p: &Placement, a: usize) -> Point {
+    let (wa, _) = problem.blocks[a].variants[p.variants[a]];
+    let gap = 200;
+    Point::new(p.positions[a].x + wa + gap, p.positions[a].y)
+}
+
+/// The annealing cost's integer terms, kept up to date move by move.
+struct CostTerms {
+    /// Nets with two or more pins that each block is a pin of, each once.
+    block_nets: Vec<Vec<usize>>,
+    /// HPWL per net (nm).
+    net_hpwl: Vec<Nm>,
+    /// Sum of `net_hpwl`.
+    hpwl: Nm,
+    /// Overlap area per block pair (nm²), `n × n` row-major, symmetric.
+    pair_overlap: Vec<i128>,
+    /// Overlap area summed over the pairs `i < j`.
+    overlap: i128,
+    /// New values of the nets the staged move changed.
+    staged_nets: Vec<(usize, Nm)>,
+    /// New values of the pairs the staged move changed.
+    staged_pairs: Vec<(usize, usize, i128)>,
+    /// Totals after the staged move.
+    staged: (Nm, i128),
+}
+
+impl CostTerms {
+    /// The terms of placement `p`, computed in full.
+    fn new(problem: &PlacementProblem, p: &Placement) -> Self {
+        let n = problem.blocks.len();
+        let mut block_nets = vec![Vec::new(); n];
+        for (k, net) in problem.nets.iter().enumerate() {
+            if net.pins.len() < 2 {
+                continue;
+            }
+            for &pin in &net.pins {
+                if block_nets[pin].last() != Some(&k) {
+                    block_nets[pin].push(k);
+                }
+            }
+        }
+        let net_hpwl: Vec<Nm> = problem
+            .nets
+            .iter()
+            .map(|net| p.net_hpwl(problem, net))
+            .collect();
+        let mut pair_overlap = vec![0; n * n];
+        let mut overlap = 0;
+        for i in 0..n {
+            let ri = p.rect(problem, i);
+            for j in (i + 1)..n {
+                let a = ri.intersection(&p.rect(problem, j)).map_or(0, |x| x.area());
+                pair_overlap[i * n + j] = a;
+                pair_overlap[j * n + i] = a;
+                overlap += a;
+            }
+        }
+        let hpwl = net_hpwl.iter().sum();
+        CostTerms {
+            block_nets,
+            net_hpwl,
+            hpwl,
+            pair_overlap,
+            overlap,
+            staged_nets: Vec::new(),
+            staged_pairs: Vec::new(),
+            staged: (hpwl, overlap),
+        }
+    }
+
+    /// Stages the terms of `p`, which differs from the committed placement
+    /// only in the blocks `changed`, and returns the staged totals (HPWL,
+    /// overlap area).
+    fn stage(
+        &mut self,
+        problem: &PlacementProblem,
+        p: &Placement,
+        changed: &[usize],
+    ) -> (Nm, i128) {
+        let n = problem.blocks.len();
+        self.staged_nets.clear();
+        self.staged_pairs.clear();
+        let (mut hpwl, mut overlap) = (self.hpwl, self.overlap);
+        for (ci, &c) in changed.iter().enumerate() {
+            for &k in &self.block_nets[c] {
+                if self.staged_nets.iter().all(|&(m, _)| m != k) {
+                    let h = p.net_hpwl(problem, &problem.nets[k]);
+                    hpwl += h - self.net_hpwl[k];
+                    self.staged_nets.push((k, h));
+                }
+            }
+            let rc = p.rect(problem, c);
+            for k in 0..n {
+                // Pairs of two changed blocks are staged once.
+                if k == c || changed[..ci].contains(&k) {
+                    continue;
+                }
+                let a = rc.intersection(&p.rect(problem, k)).map_or(0, |x| x.area());
+                let old = self.pair_overlap[c * n + k];
+                if a != old {
+                    overlap += a - old;
+                    self.staged_pairs.push((c, k, a));
+                }
+            }
+        }
+        self.staged = (hpwl, overlap);
+        self.staged
+    }
+
+    /// Makes the staged move's terms the committed ones.
+    fn commit(&mut self) {
+        let n = self.block_nets.len();
+        for &(k, h) in &self.staged_nets {
+            self.net_hpwl[k] = h;
+        }
+        for &(i, j, a) in &self.staged_pairs {
+            self.pair_overlap[i * n + j] = a;
+            self.pair_overlap[j * n + i] = a;
+        }
+        (self.hpwl, self.overlap) = self.staged;
     }
 }
 
@@ -474,6 +704,9 @@ fn matching_variants_including(
     }
     matching_variants(problem, a, b)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -551,6 +784,21 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_pin_is_rejected() {
+        let mut p = PlacementProblem::new();
+        let a = p.add_block(Block::new("a", vec![(1000, 800)]));
+        let b = p.add_block(Block::new("b", vec![(1000, 800)]));
+        p.add_net(Net::new("n1", vec![a, b]));
+        p.add_net(Net::new("n2", vec![b, 7, a]));
+        match Placer::new(0).place(&p) {
+            Err(PlaceError::BadProblem { reason }) => {
+                assert_eq!(reason, "net n2 has pin 7 but the problem has 2 blocks");
+            }
+            other => panic!("expected BadProblem, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn symmetry_without_matching_variants_is_rejected() {
         let mut p = PlacementProblem::new();
         let a = p.add_block(Block::new("a", vec![(1000, 800)]));
@@ -582,6 +830,60 @@ mod tests {
         };
         // Centers at (50,50) and (350,450): HPWL = 300 + 400.
         assert_eq!(placement.hpwl(&p), 700);
+    }
+}
+
+#[cfg(test)]
+mod parity_tests {
+    use super::reference::{random_problem, reference_place};
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Both loops' outcome with the cost as bits, for exact comparison.
+    type Outcome = Result<(Placement, u64), PlaceError>;
+
+    fn both(placer: &Placer, seed: u64, problem: &PlacementProblem) -> (Outcome, Outcome) {
+        let ours = placer.anneal(problem).map(|(p, c)| (p, c.to_bits()));
+        let theirs = reference_place(placer, seed, problem).map(|(p, c)| (p, c.to_bits()));
+        (ours, theirs)
+    }
+
+    /// The full default schedule on a mid-size problem with symmetry pairs
+    /// and variants: same placement and best cost as the reference loop,
+    /// with the audit hook checking every move on the way.
+    #[test]
+    fn full_schedule_matches_reference_loop() {
+        let problem = random_problem(14, 5);
+        assert!(!problem.symmetry().is_empty());
+        let (ours, theirs) = both(&Placer::new(21), 21, &problem);
+        assert!(ours.is_ok(), "{ours:?}");
+        assert_eq!(ours, theirs);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// On random problems the incremental loop returns the reference
+        /// loop's placement (positions and variants) and best cost bit for
+        /// bit, or the same error; the audit hook compares the incremental
+        /// cost with the full recompute after every accepted and every
+        /// rejected move. A short schedule started at a random point of the
+        /// default cooling curve exercises both hot and cold phases.
+        #[test]
+        fn annealer_matches_reference_loop(
+            n in 2usize..=60,
+            problem_seed in any::<u64>(),
+            seed in any::<u64>(),
+            temp_steps in 1usize..=3,
+            cooled in 0i32..=120,
+        ) {
+            let problem = random_problem(n, problem_seed);
+            let mut placer = Placer::new(seed);
+            placer.temp_steps = temp_steps;
+            placer.t0 *= placer.cooling.powi(cooled);
+            let (ours, theirs) = both(&placer, seed, &problem);
+            prop_assert_eq!(ours, theirs);
+        }
     }
 }
 

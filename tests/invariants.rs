@@ -8,7 +8,7 @@ use prima_core::{cost_of, deviation_percent, reconcile, PortConstraint};
 use prima_geom::{Point, Rect};
 use prima_layout::{generate, CellConfig, DeviceSpec, PlacementPattern, PrimitiveSpec};
 use prima_pdk::Technology;
-use prima_place::{Block, Net, PlacementProblem, Placer};
+use prima_place::{Block, Net, PlaceError, Placement, PlacementProblem, Placer};
 use prima_primitives::{Metric, MetricKind};
 use prima_route::{GlobalRouter, RoutingProblem};
 use prima_spice::analysis::dc::DcSolver;
@@ -21,6 +21,12 @@ use prima_spice::num::{Complex, LinearError, Matrix, Scalar};
 mod dense_reference;
 
 use dense_reference::{mna_like, parity, SplitMix};
+
+/// The annealing loop `Placer::place` ran before its incremental cost, and
+/// the random placement-problem generator, shared with the unit tests of
+/// `prima_place`.
+#[path = "../crates/place/src/reference.rs"]
+mod place_reference;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -215,6 +221,35 @@ proptest! {
         }
         let placement = Placer::new(seed).place(&p).unwrap();
         prop_assert!(!placement.has_overlaps(&p));
+    }
+
+    /// The incremental annealer returns the placement (positions and
+    /// variants) of the full-recompute reference loop, or the same error,
+    /// on random problems with variants, symmetry pairs, duplicate pins and
+    /// single-pin nets; the reference scores it with its best cost, bit
+    /// for bit. A short schedule started at a random point of the default
+    /// cooling curve covers both hot and cold phases.
+    #[test]
+    fn placer_matches_reference_annealing_loop(
+        n in 2usize..=60,
+        problem_seed in any::<u64>(),
+        seed in any::<u64>(),
+        temp_steps in 1usize..=4,
+        cooled in 0i32..=120,
+    ) {
+        let problem = place_reference::random_problem(n, problem_seed);
+        let mut placer = Placer::new(seed);
+        placer.temp_steps = temp_steps;
+        placer.t0 *= placer.cooling.powi(cooled);
+        let ours: Result<Placement, PlaceError> = placer.place(&problem);
+        match place_reference::reference_place(&placer, seed, &problem) {
+            Ok((reference, best_cost)) => {
+                prop_assert_eq!(ours.as_ref(), Ok(&reference));
+                let cost = place_reference::reference_cost(&placer, &problem, &reference);
+                prop_assert_eq!(cost.to_bits(), best_cost.to_bits());
+            }
+            Err(e) => prop_assert_eq!(ours, Err(e)),
+        }
     }
 
     /// The router connects every net with length at least the HPWL lower
