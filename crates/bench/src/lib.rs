@@ -5,8 +5,8 @@
 //!
 //! Each `table*` / `fig*` function reproduces one exhibit and returns the
 //! formatted report; the `report` binary prints them
-//! (`cargo run --release -p prima-bench --bin report -- table3`), and the
-//! Criterion benches in `benches/` time the underlying kernels.
+//! (`cargo run --release -p prima-bench --bin report -- table3`).
+//! Performance is measured by the separate `perfbench` package, not here.
 //!
 //! Absolute values differ from the paper — the substrate is a synthetic
 //! PDK and a purpose-built simulator — but the *shape* of each exhibit
@@ -25,9 +25,8 @@ use std::time::Instant;
 use prima_core::{enumerate_configs, reconcile, route_wire, GlobalRoute, Optimizer, Phase};
 use prima_flow::circuits::{CsAmp, FiveTOta, RoVco, StrongArm};
 use prima_flow::{
-    conventional_flow, manual_flow, optimized_flow, optimized_flow_resilient, optimized_flow_with,
-    schem_preflight, CachePolicy, FaultPlan, FlowError, FlowOptions, Realization, RepairBudgets,
-    VerifyPolicy,
+    conventional_flow, manual_flow, optimized_flow_with, schem_preflight, CachePolicy, FaultPlan,
+    FlowError, FlowOptions, Realization, VerifyPolicy,
 };
 use prima_layout::{generate, CellConfig, PlacementPattern};
 use prima_pdk::Technology;
@@ -632,7 +631,8 @@ pub fn table6(env: &Env, fast: bool) -> String {
     let sch = FiveTOta::measure(tech, lib, &Realization::schematic()).expect("schematic");
     let conv = conventional_flow(tech, lib, &spec, 42).expect("conventional");
     let conv_m = FiveTOta::measure(tech, lib, &conv.realization).expect("conventional sim");
-    let optf = optimized_flow(tech, lib, &spec, &biases, 42).expect("optimized");
+    let optf = optimized_flow_with(tech, lib, &spec, &biases, 42, FlowOptions::default())
+        .expect("optimized");
     let opt_m = FiveTOta::measure(tech, lib, &optf.realization).expect("optimized sim");
     let man_m = if fast {
         None
@@ -729,7 +729,8 @@ pub fn table6(env: &Env, fast: bool) -> String {
     let sch = StrongArm::measure(tech, lib, &Realization::schematic()).expect("schematic");
     let conv = conventional_flow(tech, lib, &spec, 42).expect("conventional");
     let conv_m = StrongArm::measure(tech, lib, &conv.realization).expect("conventional sim");
-    let optf = optimized_flow(tech, lib, &spec, &biases, 42).expect("optimized");
+    let optf = optimized_flow_with(tech, lib, &spec, &biases, 42, FlowOptions::default())
+        .expect("optimized");
     let opt_m = StrongArm::measure(tech, lib, &optf.realization).expect("optimized sim");
 
     writeln!(
@@ -788,7 +789,8 @@ pub fn table7(env: &Env, fast: bool) -> String {
         .measure(tech, lib, &conv.realization)
         .expect("conventional VCO");
     let biases = vco.biases(tech, lib).expect("biases");
-    let optf = optimized_flow(tech, lib, &spec, &biases, 17).expect("optimized");
+    let optf = optimized_flow_with(tech, lib, &spec, &biases, 17, FlowOptions::default())
+        .expect("optimized");
     let opt_m = vco
         .measure(tech, lib, &optf.realization)
         .expect("optimized VCO");
@@ -846,16 +848,33 @@ pub fn table8(env: &Env) -> String {
 
     let ota_spec = FiveTOta::spec();
     let ota_biases = FiveTOta::biases(tech, lib).expect("biases");
-    let ota = optimized_flow(tech, lib, &ota_spec, &ota_biases, 42).expect("ota flow");
+    let ota = optimized_flow_with(
+        tech,
+        lib,
+        &ota_spec,
+        &ota_biases,
+        42,
+        FlowOptions::default(),
+    )
+    .expect("ota flow");
 
     let sa_spec = StrongArm::spec();
     let sa_biases = StrongArm::biases(tech, lib).expect("biases");
-    let sa = optimized_flow(tech, lib, &sa_spec, &sa_biases, 42).expect("sa flow");
+    let sa = optimized_flow_with(tech, lib, &sa_spec, &sa_biases, 42, FlowOptions::default())
+        .expect("sa flow");
 
     let vco = RoVco::small();
     let vco_spec = vco.spec();
     let vco_biases = vco.biases(tech, lib).expect("biases");
-    let vc = optimized_flow(tech, lib, &vco_spec, &vco_biases, 42).expect("vco flow");
+    let vc = optimized_flow_with(
+        tech,
+        lib,
+        &vco_spec,
+        &vco_biases,
+        42,
+        FlowOptions::default(),
+    )
+    .expect("vco flow");
 
     for (name, outc) in [("5T OTA", &ota), ("StrongARM", &sa), ("RO-VCO", &vc)] {
         writeln!(
@@ -997,7 +1016,8 @@ mesh-routing ablation (DP 8/20/6 ABBA): meshed cost {c_mesh:.2} vs single-trunk 
         let spec = FiveTOta::spec();
         let biases = FiveTOta::biases(tech, lib).expect("biases");
         let sch = FiveTOta::measure(tech, lib, &Realization::schematic()).expect("schematic");
-        let full = optimized_flow(tech, lib, &spec, &biases, 42).expect("full flow");
+        let full = optimized_flow_with(tech, lib, &spec, &biases, 42, FlowOptions::default())
+            .expect("full flow");
         let no_tuning = optimized_flow_with(
             tech,
             lib,
@@ -1618,15 +1638,16 @@ pub fn resilience_summary(env: &Env) -> String {
         let plan = FaultPlan::new(23)
             .with_eval_fail_rate(0.30)
             .with_route_fault(&fault_net, 1);
-        match optimized_flow_resilient(
+        match optimized_flow_with(
             tech,
             lib,
             &spec,
             &biases,
             11,
-            gate_on.clone(),
-            &plan,
-            RepairBudgets::default(),
+            FlowOptions {
+                faults: plan,
+                ..gate_on.clone()
+            },
         ) {
             Ok(outcome) => {
                 let r = &outcome.resilience;
@@ -1649,7 +1670,7 @@ pub fn resilience_summary(env: &Env) -> String {
     }
 
     // Control: with no faults, the resilience layer must be invisible —
-    // identical output to optimized_flow and a Clean verdict.
+    // identical output to the fault-free flow and a Clean verdict.
     match optimized_flow_with(tech, lib, &CsAmp::spec(), &cs_biases(env), 11, gate_on) {
         Ok(outcome) => writeln!(
             out,

@@ -94,6 +94,16 @@ pub enum OptError {
         /// What stage ran dry.
         stage: String,
     },
+    /// A candidate evaluation failed or panicked where every candidate must
+    /// succeed ([`Optimizer::select`]).
+    CandidateFailed {
+        /// Primitive definition the candidate belongs to.
+        def: String,
+        /// Index of the candidate in the configuration list.
+        candidate: usize,
+        /// The failure, formatted.
+        reason: String,
+    },
     /// The attached [`CancelToken`] tripped (explicit cancel or deadline);
     /// the optimization was abandoned at a candidate or solver boundary.
     Cancelled(Cancelled),
@@ -105,6 +115,11 @@ impl fmt::Display for OptError {
             OptError::Eval(e) => write!(f, "evaluation failed: {e}"),
             OptError::Layout(e) => write!(f, "layout generation failed: {e}"),
             OptError::NoCandidates { stage } => write!(f, "no candidates in {stage}"),
+            OptError::CandidateFailed {
+                def,
+                candidate,
+                reason,
+            } => write!(f, "{def} candidate {candidate} failed: {reason}"),
             OptError::Cancelled(c) => write!(f, "optimization abandoned: {c}"),
         }
     }

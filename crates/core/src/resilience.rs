@@ -68,7 +68,8 @@ pub trait FaultInjector: Sync {
     }
 }
 
-/// The no-op injector production flows run with.
+/// The no-op injector: injects exactly what [`FaultPlan::none`] injects,
+/// nothing. [`crate::Optimizer::select`] runs with it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFaults;
 

@@ -8,7 +8,7 @@ use prima_spice::analysis::AnalysisError;
 
 use crate::accounting::Phase;
 use crate::cost::{cost_of, CostBreakdown};
-use crate::resilience::{EvalFault, EvalLedger, FaultInjector};
+use crate::resilience::{EvalFault, EvalLedger, FaultInjector, NoFaults};
 use crate::{OptError, Optimizer};
 
 /// A fully evaluated layout candidate.
@@ -148,19 +148,15 @@ impl<'t> Optimizer<'t> {
 
     /// Algorithm 1, step 1: generates and evaluates every configuration,
     /// splits candidates into `n_bins` aspect-ratio bins, and returns the
-    /// minimum-cost candidate of each bin (ordered by aspect ratio).
-    ///
-    /// All candidate evaluations are independent and run on worker threads,
-    /// mirroring the paper's parallel-simulation argument (Table V).
+    /// minimum-cost candidate of each bin (ordered by aspect ratio) — rank 0
+    /// of every bin [`Optimizer::select_bins`] ranks without fault
+    /// injection. Strict: no candidate is silently skipped.
     ///
     /// # Errors
     ///
-    /// Returns [`OptError::NoCandidates`] for an empty config list and
-    /// propagates generation/evaluation failures.
-    // The `expect`s re-raise panics out of the crossbeam evaluation
-    // workers; a panicked candidate has no result to salvage (the
-    // fault-aware sibling `select_bins` is the one that absorbs them).
-    #[allow(clippy::expect_used)]
+    /// Returns [`OptError::CandidateFailed`] naming the first candidate (in
+    /// configuration order) whose evaluation failed or panicked, and
+    /// otherwise the errors of [`Optimizer::select_bins`].
     pub fn select(
         &self,
         def: &PrimitiveDef,
@@ -168,65 +164,33 @@ impl<'t> Optimizer<'t> {
         configs: &[CellConfig],
         n_bins: usize,
     ) -> Result<Vec<Evaluated>, OptError> {
-        if configs.is_empty() || n_bins == 0 {
-            return Err(OptError::NoCandidates {
-                stage: "selection: empty configuration list".to_string(),
+        let mut ledger = EvalLedger::new();
+        let bins = self.select_bins(def, bias, configs, n_bins, &NoFaults, &mut ledger);
+        if let Some(first) = ledger.failures().first() {
+            return Err(OptError::CandidateFailed {
+                def: first.def.clone(),
+                candidate: first.candidate,
+                reason: first.reason.clone(),
             });
         }
-        let sch = self.schematic_reference(def, bias, configs[0].total_fins())?;
-
-        // Evaluate candidates in parallel.
-        let results: Vec<Result<Evaluated, OptError>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = configs
-                .iter()
-                .map(|cfg| {
-                    let sch = &sch;
-                    scope.spawn(move |_| -> Result<Evaluated, OptError> {
-                        let layout = generate(self.tech(), &def.spec, cfg)?;
-                        self.evaluate_layout(def, bias, layout, sch, Phase::Selection)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("candidate evaluation panicked"))
-                .collect()
-        })
-        .expect("evaluation scope panicked");
-
-        let mut evaluated: Vec<Evaluated> = results.into_iter().collect::<Result<_, _>>()?;
-        evaluated.sort_by(|a, b| a.layout.aspect_ratio().total_cmp(&b.layout.aspect_ratio()));
-
-        // Quantile binning over the aspect-ratio order, then min cost per bin.
-        let n_bins = n_bins.min(evaluated.len());
-        let mut picks: Vec<Evaluated> = Vec::with_capacity(n_bins);
-        let chunk = evaluated.len().div_ceil(n_bins);
-        for bin in evaluated.chunks(chunk) {
-            // `chunks` never yields an empty slice, so a bin always has
-            // a minimum.
-            if let Some(best) = bin.iter().min_by(|a, b| a.cost.total_cmp(&b.cost)) {
-                picks.push(best.clone());
-            }
-        }
-        Ok(picks)
+        Ok(bins?
+            .into_iter()
+            .filter_map(|bin| bin.ranked.into_iter().next())
+            .collect())
     }
 
-    /// Fault-aware variant of [`Optimizer::select`] that keeps the **whole
-    /// ranked bin** instead of only its winner, so the flow's repair loop
-    /// can fall back to the next-best candidate of the same aspect-ratio
-    /// bin when a winner later fails a sign-off gate.
+    /// Algorithm 1, step 1, keeping the **whole ranked bin** instead of
+    /// only its winner, so the flow's repair loop can fall back to the
+    /// next-best candidate of the same aspect-ratio bin when a winner later
+    /// fails a sign-off gate.
     ///
-    /// Candidate evaluations run on worker threads exactly as in `select`;
-    /// a panicking evaluation is isolated at its join point and a failing
-    /// one returns a typed error — both are recorded in `ledger` and the
+    /// All candidate evaluations are independent and run on worker threads,
+    /// mirroring the paper's parallel-simulation argument (Table V). A
+    /// panicking evaluation is isolated at its join point and a failing one
+    /// returns a typed error — both are recorded in `ledger` and the
     /// candidate is dropped, never aborting the run. `injector` may force
     /// either failure mode deterministically (see
     /// [`crate::resilience::FaultPlan`]).
-    ///
-    /// With [`crate::resilience::NoFaults`] and no organic failures, every
-    /// bin's rank-0 entry is exactly the candidate `select` returns for
-    /// that bin (same ordering, same tie-breaking), so a zero-fault run is
-    /// bit-identical to the classic path.
     ///
     /// # Errors
     ///
@@ -253,18 +217,9 @@ impl<'t> Optimizer<'t> {
         }
         let sch = self.schematic_reference(def, bias, configs[0].total_fins())?;
 
-        // How one candidate went down: cancellation is a control signal that
-        // aborts the whole selection, everything else is ledgered per
-        // candidate so the survivors still rank.
-        enum CandidateFailure {
-            Cancelled(prima_cache::Cancelled),
-            Failed { panicked: bool, reason: String },
-        }
-
         // Evaluate candidates in parallel; a child panic is captured at the
-        // join and folded into the per-candidate result instead of
-        // propagating.
-        let results: Vec<Result<Evaluated, CandidateFailure>> = crossbeam::thread::scope(|scope| {
+        // join as its message instead of propagating.
+        let results: Vec<_> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = configs
                 .iter()
                 .enumerate()
@@ -295,42 +250,36 @@ impl<'t> Optimizer<'t> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(Ok(ev)) => Ok(ev),
-                    Ok(Err(OptError::Cancelled(c))) => Err(CandidateFailure::Cancelled(c)),
-                    Ok(Err(e)) => Err(CandidateFailure::Failed {
-                        panicked: false,
-                        reason: e.to_string(),
-                    }),
-                    Err(payload) => {
-                        let msg = payload
+                .map(|h| {
+                    h.join().map_err(|payload| {
+                        payload
                             .downcast_ref::<&str>()
                             .map(|s| (*s).to_string())
                             .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "candidate evaluation panicked".to_string());
-                        Err(CandidateFailure::Failed {
-                            panicked: true,
-                            reason: format!("panic: {msg}"),
-                        })
-                    }
+                            .unwrap_or_else(|| "candidate evaluation panicked".to_string())
+                    })
                 })
                 .collect()
         })
         .expect("evaluation scope panicked");
 
         let mut evaluated: Vec<(usize, Evaluated)> = Vec::with_capacity(results.len());
-        for (idx, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(ev) => evaluated.push((idx, ev)),
+        for (idx, joined) in results.into_iter().enumerate() {
+            let (panicked, reason) = match joined {
+                Ok(Ok(ev)) => {
+                    evaluated.push((idx, ev));
+                    continue;
+                }
                 // A cancelled candidate means the request (not the
                 // candidate) is done: propagate without ledgering, so the
                 // untried remainder is not condemned as failed and a later
-                // uncancelled run starts from a clean slate.
-                Err(CandidateFailure::Cancelled(c)) => return Err(OptError::Cancelled(c)),
-                Err(CandidateFailure::Failed { panicked, reason }) => {
-                    ledger.record(&def.name, idx, panicked, reason);
-                }
-            }
+                // uncancelled run starts from a clean slate. Every other
+                // failure is ledgered so the survivors still rank.
+                Ok(Err(OptError::Cancelled(c))) => return Err(OptError::Cancelled(c)),
+                Ok(Err(e)) => (false, e.to_string()),
+                Err(msg) => (true, format!("panic: {msg}")),
+            };
+            ledger.record(&def.name, idx, panicked, reason);
         }
         if evaluated.is_empty() {
             return Err(OptError::NoCandidates {
@@ -342,10 +291,9 @@ impl<'t> Optimizer<'t> {
             });
         }
 
-        // Identical ordering and binning to `select` over the survivors:
-        // stable sort by aspect ratio, quantile chunks, then a stable sort
-        // by cost inside each bin so rank 0 matches `min_by`'s
-        // first-minimal tie-breaking exactly.
+        // Quantile binning over the survivors: stable sort by aspect ratio,
+        // quantile chunks, then a stable sort by cost inside each bin, so
+        // rank 0 is the first minimal-cost candidate of its bin.
         evaluated.sort_by(|a, b| {
             a.1.layout
                 .aspect_ratio()
@@ -367,8 +315,8 @@ impl<'t> Optimizer<'t> {
 }
 
 /// One aspect-ratio bin with every surviving candidate ranked best-first
-/// (by Eq. 5 cost). `ranked[0]` is the bin winner `select` would return;
-/// the remainder is the fallback order the repair loop walks.
+/// (by Eq. 5 cost). `ranked[0]` is the bin winner [`Optimizer::select`]
+/// returns; the remainder is the fallback order the repair loop walks.
 #[derive(Debug, Clone)]
 pub struct BinRanked {
     /// Original candidate indices (into the enumerated config list),
@@ -475,6 +423,33 @@ mod tests {
             for w in bin.ranked.windows(2) {
                 assert!(w[0].cost <= w[1].cost);
             }
+        }
+    }
+
+    #[test]
+    fn select_names_the_first_failed_candidate() {
+        let tech = Technology::finfet7();
+        let lib = Library::standard();
+        let dp = lib.get("dp").unwrap();
+        let bias = Bias::nominal(&tech, &dp.class);
+        let opt = Optimizer::new(&tech);
+        let mut configs = enumerate_configs(96, &[4, 8], 4);
+        // Two unbuildable candidates (m = 0): `select` never skips one, and
+        // reports the first in configuration order.
+        for idx in [2, 5] {
+            configs[idx].m = 0;
+        }
+        match opt.select(dp, &bias, &configs, 3) {
+            Err(OptError::CandidateFailed {
+                def,
+                candidate,
+                reason,
+            }) => {
+                assert_eq!(def, "dp");
+                assert_eq!(candidate, 2);
+                assert!(reason.contains("nfin/nf/m"), "{reason}");
+            }
+            other => panic!("expected CandidateFailed, got {other:?}"),
         }
     }
 

@@ -39,7 +39,7 @@ use prima_corners::{
 };
 use prima_layout::PrimitiveLayout;
 use prima_pdk::{CornerSpec, Technology};
-use prima_primitives::{Bias, Library, MetricValues, PrimitiveDef};
+use prima_primitives::{Bias, MetricValues, PrimitiveDef};
 
 use crate::flows::{checkpoint, tuned_candidate, InstState};
 use crate::FlowError;
@@ -53,8 +53,6 @@ const SIGMA_MOBILITY: f64 = 0.01;
 pub(crate) struct CornerCtx<'a, 't> {
     /// Nominal technology.
     pub tech: &'t Technology,
-    /// Primitive library.
-    pub lib: &'a Library,
     /// The nominal optimizer (fallback candidates re-tune at nominal).
     pub opt: &'a Optimizer<'t>,
     /// Sweep options.
@@ -151,7 +149,7 @@ struct SweepResult {
 
 /// Runs the corner gating + Monte-Carlo stage over the selection states.
 /// Mutates the states' cursors/active candidates through corner repair;
-/// never fails except on cancellation or a missing library definition.
+/// never fails except on cancellation.
 pub(crate) fn corner_stage(
     ctx: &CornerCtx<'_, '_>,
     states: &mut [(String, InstState)],
@@ -211,18 +209,8 @@ pub(crate) fn corner_stage(
         checkpoint(ctx.cancel)?;
         let (name, st) = &states[si];
         let name = name.clone();
-        let def = ctx
-            .lib
-            .get(&st.def)
-            .ok_or_else(|| FlowError::UnknownPrimitive {
-                name: st.def.clone(),
-            })?;
-        let total_fins = st
-            .active
-            .first()
-            .map(|(l, _)| l.config.total_fins())
-            .unwrap_or(0);
-        let key: GroupKey = (st.def.clone(), total_fins, st.bias.clone());
+        let (def, total_fins) = (st.def, st.fins);
+        let key: GroupKey = (def.name.clone(), total_fins, st.bias.clone());
         if let Some(&(_, idx, rep_si)) = done.iter().find(|(k, ..)| *k == key) {
             // Replay the representative's gating outcome onto this member:
             // same ranked bins, same bias — the gate decisions are
@@ -302,16 +290,16 @@ pub(crate) fn corner_stage(
                 // Ledger the failing candidate and fall back.
                 let cur = st.cursor.current(bin);
                 if let Some(&cand) = st.bins[bin].candidates.get(cur) {
-                    if !ledger.is_failed(&st.def, cand) {
+                    if !ledger.is_failed(&def.name, cand) {
                         ledger.record(
-                            &st.def,
+                            &def.name,
                             cand,
                             false,
                             format!("failed corner gate at {fail_corner:?}"),
                         );
                     }
                 }
-                let pairs = st.bins[bin].id_pairs(&st.def);
+                let pairs = st.bins[bin].id_pairs(&def.name);
                 match st.cursor.demote(bin, &pairs, ledger) {
                     Some(rank) => {
                         if let Some(pick) = st.bins[bin].ranked.get(rank) {
@@ -390,7 +378,7 @@ pub(crate) fn corner_stage(
         done.push((key, instances.len(), si));
         instances.push(InstanceCorners {
             instance: name,
-            def: st.def.clone(),
+            def: def.name.clone(),
             nominal_cost,
             measures,
             worst_margin,
@@ -484,12 +472,7 @@ fn run_mc(
     let mut sample_pass = vec![true; copts.mc_samples as usize];
     for (name, st) in states {
         checkpoint(ctx.cancel)?;
-        let def = ctx
-            .lib
-            .get(&st.def)
-            .ok_or_else(|| FlowError::UnknownPrimitive {
-                name: st.def.clone(),
-            })?;
+        let def = st.def;
         // The instance's best live candidate is the one gated.
         let Some((layout, nominal_cost)) = (0..st.active.len())
             .filter(|&i| !st.dead[i])
@@ -506,7 +489,7 @@ fn run_mc(
             ctx.tech.fin.weff_m((total_fins as u32).max(1)),
             ctx.tech.fin.gate_length as f64 * 1e-9,
         );
-        let fp = instance_fingerprint(name, &st.def, total_fins);
+        let fp = instance_fingerprint(name, &def.name, total_fins);
         let mut passed = 0u32;
         for s in 0..copts.mc_samples {
             checkpoint(ctx.cancel)?;

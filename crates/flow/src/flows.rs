@@ -12,15 +12,15 @@ use std::time::{Duration, Instant};
 
 use prima_cache::{CacheEventKind, CachePolicy, CacheStats, EvalCache, Fingerprintable};
 use prima_core::{
-    clamp_to_em_floor, reconcile, route_wire, BinRanked, CancelToken, EvalLedger, Evaluated,
-    FaultInjector, FaultPlan, GlobalRoute, NoFaults, Optimizer, Phase, PortConstraint,
+    clamp_to_em_floor, reconcile, route_wire, std_config_space, BinRanked, CancelToken, EvalLedger,
+    Evaluated, FaultInjector, FaultPlan, GlobalRoute, Optimizer, Phase, PortConstraint,
     RepairBudgets, RepairCursor, ResilienceReport, RuleKind, Severity, SolverLimits, Violation,
 };
 use prima_corners::{CornerPolicy, CornerReport};
 use prima_geom::Point;
-use prima_layout::{generate, render, CellConfig, PlacementPattern, PrimitiveLayout};
+use prima_layout::{generate, render, CellConfig, CellGeometry, PlacementPattern, PrimitiveLayout};
 use prima_pdk::Technology;
-use prima_place::{Block, Net, PlacementProblem, Placer};
+use prima_place::{Block, Net, Placement, PlacementProblem, Placer};
 use prima_primitives::{Bias, Library, PrimitiveDef, TESTBENCH_VERSION};
 use prima_route::detail::{DetailError, DetailRouter, DetailedResult};
 use prima_route::power::{synthesize, PowerGridSpec, PowerReport};
@@ -29,7 +29,7 @@ use prima_verify::lints::{LintInputs, PortInterval};
 use prima_verify::{check_flow, CellArtifact, FlowArtifacts, VerifyReport};
 use serde::{Deserialize, Serialize};
 
-use crate::builder::Realization;
+use crate::builder::{PrimitiveInst, Realization};
 use crate::circuits::CircuitSpec;
 use crate::electrical::{self, ErcBuild};
 use crate::preflight;
@@ -131,6 +131,11 @@ pub struct FlowOptions {
     /// by default; when on, the outcome carries a [`prima_gds::GdsArtifact`]
     /// whose bytes re-parse to a geometrically exact copy.
     pub gds: GdsPolicy,
+    /// Faults injected to exercise the bounded repair. The default
+    /// [`FaultPlan::none`] injects nothing: the run is the fault-free one.
+    pub faults: FaultPlan,
+    /// Attempt limits of the repair loop (routing and gate retries).
+    pub budgets: RepairBudgets,
 }
 
 impl Default for FlowOptions {
@@ -145,6 +150,8 @@ impl Default for FlowOptions {
             cancel: None,
             corners: CornerPolicy::Off,
             gds: GdsPolicy::Off,
+            faults: FaultPlan::none(),
+            budgets: RepairBudgets::default(),
         }
     }
 }
@@ -221,27 +228,30 @@ pub struct FlowOutcome {
 /// synthesized (no placed blocks).
 pub const SUPPLY_R_OHM: f64 = 6.0;
 
-/// Estimated supply current of one instance, from its bias record.
-fn block_current(bias: Option<&Bias>) -> f64 {
-    match bias {
-        Some(b) => b.i("tail", b.i("ref", 150e-6)),
-        None => 150e-6,
-    }
-}
-
 /// Synthesizes the (manually-routed, in the paper's terms) power grid over
 /// a placement and returns the effective rail resistance together with the
 /// full grid report (strap rows and per-block feed drops feed the ERC
-/// gate's IR and well-tap checks).
+/// gate's IR and well-tap checks). A block draws the supply current its
+/// instance's bias record estimates, or a nominal 150 µA without one.
 fn supply_grid(
     tech: &Technology,
-    placement_blocks: &[(prima_geom::Rect, f64)],
-    bbox: prima_geom::Rect,
+    placed: &PlacedDesign,
+    biases: &HashMap<String, Bias>,
 ) -> (f64, Option<PowerReport>) {
-    if placement_blocks.is_empty() {
+    if placed.rects.is_empty() {
         return (SUPPLY_R_OHM, None);
     }
-    let report = synthesize(tech, bbox, placement_blocks, &PowerGridSpec::for_tech(tech));
+    let blocks: Vec<(prima_geom::Rect, f64)> = placed
+        .rects
+        .iter()
+        .map(|(name, r)| {
+            let current = biases
+                .get(name)
+                .map_or(150e-6, |b| b.i("tail", b.i("ref", 150e-6)));
+            (*r, current)
+        })
+        .collect();
+    let report = synthesize(tech, placed.bbox, &blocks, &PowerGridSpec::for_tech(tech));
     let r = report.effective_r_ohm.clamp(0.05, 25.0);
     (r, Some(report))
 }
@@ -252,112 +262,67 @@ pub(crate) fn is_power_net(net: &str) -> bool {
     matches!(net, "vdd" | "vssn" | "vdd_ext")
 }
 
-/// The configuration space explored for a primitive of `total_fins` — the
-/// standard space the schematic preflight's `SCHEM.SIZE` rule validates
-/// against, so an instance that reaches the optimizer always has at least
-/// one candidate.
-fn config_space(total_fins: u64) -> Vec<CellConfig> {
-    prima_core::std_config_space(total_fins)
+/// The global route of every routed signal net as Algorithm 2 and the
+/// single-wire baseline see it: dominant layer, total length, two via
+/// ends.
+fn global_routes(spec: &CircuitSpec, routing: &RoutingResult) -> HashMap<String, GlobalRoute> {
+    signal_nets(spec)
+        .filter_map(|net| {
+            let route = routing.net(&net)?;
+            let gr = GlobalRoute {
+                layer: route.dominant_layer(),
+                len_nm: route.total_len_nm(),
+                via_ends: 2,
+            };
+            Some((net, gr))
+        })
+        .collect()
 }
 
 /// A deterministic "default" configuration for the conventional flow: the
 /// blocked pattern whose cell is closest to square — geometric constraints
 /// met (a layout tool always targets compact, near-square cells), but no
-/// electrical evaluation of any kind.
+/// electrical evaluation of any kind. Ties go to the first squarest
+/// configuration of the standard space.
 fn default_config(
     tech: &Technology,
     spec: &prima_layout::PrimitiveSpec,
     total_fins: u64,
 ) -> Option<CellConfig> {
-    let mut configs = config_space(total_fins);
-    configs.retain(|c| c.pattern == PlacementPattern::Aabb);
-    // Geometry-only flows skip the LDE countermeasures: no edge dummies
-    // (the paper lists dummy insertion among the optimizations with an
-    // area/parasitic trade-off the conventional baseline does not weigh).
-    for c in &mut configs {
-        c.dummies = false;
-    }
-    configs.sort_by(|a, b| {
-        let ar = |cfg: &CellConfig| {
-            generate(tech, spec, cfg)
-                .map(|l| {
-                    let ar = l.aspect_ratio();
-                    // Distance from square on a log scale.
-                    ar.max(1.0 / ar)
-                })
-                .unwrap_or(f64::INFINITY)
-        };
-        ar(a).total_cmp(&ar(b))
-    });
-    configs.first().copied()
+    std_config_space(total_fins)
+        .into_iter()
+        .filter(|c| c.pattern == PlacementPattern::Aabb)
+        .map(|mut c| {
+            // Geometry-only flows skip the LDE countermeasures: no edge
+            // dummies (the paper lists dummy insertion among the
+            // optimizations with an area/parasitic trade-off the
+            // conventional baseline does not weigh).
+            c.dummies = false;
+            // Distance from square on a log scale.
+            let key = generate(tech, spec, &c).map_or(f64::INFINITY, |l| {
+                let ar = l.aspect_ratio();
+                ar.max(1.0 / ar)
+            });
+            (key, c)
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .map(|(_, c)| c)
 }
 
-/// Runs the optimized (this-work) flow.
+/// Runs the optimized (this-work) flow. [`FlowOptions::default`] is the
+/// paper's flow; the options ablate individual steps (the
+/// step-contribution studies), gate, cache, cancel, sweep corners, stream
+/// out GDS-II, or inject faults. Injected and organic failures are
+/// isolated and repaired within [`FlowOptions::budgets`]: faulted
+/// candidate evaluations are skipped, routing failures retried with
+/// perturbed net orderings, and gate failures repaired by falling back to
+/// the next-best candidate in the offending aspect-ratio bin. A zero
+/// [`FlowOptions::faults`] plan injects nothing.
 ///
 /// # Errors
 ///
-/// Propagates optimization, placement, routing, and evaluation failures.
-pub fn optimized_flow(
-    tech: &Technology,
-    lib: &Library,
-    spec: &CircuitSpec,
-    biases: &HashMap<String, Bias>,
-    seed: u64,
-) -> Result<FlowOutcome, FlowError> {
-    run_flow(
-        tech,
-        lib,
-        spec,
-        biases,
-        seed,
-        FlowKind::Optimized,
-        FlowOptions::default(),
-        &NoFaults,
-        RepairBudgets::default(),
-    )
-}
-
-/// Runs the optimized flow under a fault-injection plan with bounded
-/// repair: faulted candidate evaluations are isolated and skipped, routing
-/// failures retried with perturbed net orderings, and gate failures
-/// repaired by falling back to the next-best candidate in the offending
-/// aspect-ratio bin. A zero-fault [`FaultPlan`] reproduces
-/// [`optimized_flow`] bit for bit.
-///
-/// # Errors
-///
-/// Same conditions as [`optimized_flow`], plus
+/// Propagates optimization, placement, routing, and evaluation failures;
 /// [`FlowError::RepairExhausted`] when a repair budget runs out.
-#[allow(clippy::too_many_arguments)]
-pub fn optimized_flow_resilient(
-    tech: &Technology,
-    lib: &Library,
-    spec: &CircuitSpec,
-    biases: &HashMap<String, Bias>,
-    seed: u64,
-    options: FlowOptions,
-    plan: &FaultPlan,
-    budgets: RepairBudgets,
-) -> Result<FlowOutcome, FlowError> {
-    run_flow(
-        tech,
-        lib,
-        spec,
-        biases,
-        seed,
-        FlowKind::Optimized,
-        options,
-        plan,
-        budgets,
-    )
-}
-
-/// Runs the optimized flow with individual steps ablated (for the
-/// step-contribution studies).
-///
-/// # Errors
-///
-/// Same conditions as [`optimized_flow`].
 pub fn optimized_flow_with(
     tech: &Technology,
     lib: &Library,
@@ -366,24 +331,14 @@ pub fn optimized_flow_with(
     seed: u64,
     options: FlowOptions,
 ) -> Result<FlowOutcome, FlowError> {
-    run_flow(
-        tech,
-        lib,
-        spec,
-        biases,
-        seed,
-        FlowKind::Optimized,
-        options,
-        &NoFaults,
-        RepairBudgets::default(),
-    )
+    run_flow(tech, lib, spec, biases, seed, FlowKind::Optimized, options)
 }
 
 /// Runs the manual-layout proxy: the optimized flow with a wider search.
 ///
 /// # Errors
 ///
-/// Same conditions as [`optimized_flow`].
+/// Same conditions as [`optimized_flow_with`].
 pub fn manual_flow(
     tech: &Technology,
     lib: &Library,
@@ -399,8 +354,6 @@ pub fn manual_flow(
         seed,
         FlowKind::Manual,
         FlowOptions::default(),
-        &NoFaults,
-        RepairBudgets::default(),
     )
 }
 
@@ -412,7 +365,9 @@ pub fn manual_flow(
 /// an individual placement block — there are no matched multi-device
 /// cells — so the signal nets span many more, farther-apart pins than the
 /// hierarchical flow's. Device-local parasitics are approximated by the
-/// default (squarest, dummy-less, untuned) cell generation.
+/// default (squarest, dummy-less, untuned) cell generation. The baseline
+/// runs the same preflight, gate, and finish stages as the optimized flow
+/// under default options.
 ///
 /// # Errors
 ///
@@ -423,64 +378,31 @@ pub fn conventional_flow(
     spec: &CircuitSpec,
     seed: u64,
 ) -> Result<FlowOutcome, FlowError> {
-    let start = Instant::now();
-
-    // Zeroth gate: the deck itself must be self-consistent and able to
-    // carry the primitive library before any request-specific checking.
-    let techlint = if FlowOptions::default().verify.enabled() {
-        Some(gate(preflight::techlint_preflight(tech, lib))?)
-    } else {
-        None
-    };
-
-    // Schematic preflight: reject malformed requests before generating any
-    // geometry. The baseline has no bias records; nominal per-class biases
-    // are library invariants and need no re-check.
-    let schem = if FlowOptions::default().verify.enabled() {
-        Some(gate(preflight::schem_preflight(tech, lib, spec, None))?)
-    } else {
-        None
-    };
+    let options = FlowOptions::default();
+    // The baseline has no bias records; nominal per-class biases are
+    // library invariants and need no schematic re-check.
+    let start = preflight_stage(FlowKind::Conventional, tech, lib, spec, None, &options)?;
+    let no_biases = HashMap::new();
+    let resolved = resolve(tech, lib, spec, &no_biases)?;
 
     // Default layouts: squarest blocked configuration, untuned.
     let mut layouts: HashMap<String, PrimitiveLayout> = HashMap::new();
-    for inst in &spec.instances {
-        let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
-            name: inst.def.clone(),
-        })?;
-        if def.spec.devices.is_empty() {
-            continue;
-        }
-        if let Some(cfg) = default_config(tech, &def.spec, inst.total_fins) {
-            let layout = generate(tech, &def.spec, &cfg).map_err(prima_core::OptError::from)?;
-            layouts.insert(inst.name.clone(), layout);
+    for r in &resolved {
+        if let Some(cfg) = default_config(tech, &r.def.spec, r.inst.total_fins) {
+            let layout = generate(tech, &r.def.spec, &cfg).map_err(prima_core::OptError::from)?;
+            layouts.insert(r.inst.name.clone(), layout);
         }
     }
 
     // Flat placement: one block per transistor.
-    let placed = flat_place_and_route(tech, lib, spec, seed)?;
-    let blocks: Vec<(prima_geom::Rect, f64)> = placed
-        .rects
-        .iter()
-        .map(|(_, r)| (*r, block_current(None)))
-        .collect();
-    let (supply_r, power) = supply_grid(tech, &blocks, placed.bbox);
+    let placed = flat_place_and_route(tech, spec, &resolved, seed)?;
+    let (supply_r, power) = supply_grid(tech, &placed, &no_biases);
 
     // Single-wire routes everywhere: k = 1.
-    let mut net_wires = HashMap::new();
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
-        if let Some(route) = placed.routing.net(&net) {
-            let gr = GlobalRoute {
-                layer: route.dominant_layer(),
-                len_nm: route.total_len_nm(),
-                via_ends: 2,
-            };
-            net_wires.insert(net.clone(), route_wire(tech, &gr, 1));
-        }
-    }
+    let net_wires = global_routes(spec, &placed.routing)
+        .iter()
+        .map(|(net, gr)| (net.clone(), route_wire(tech, gr, 1)))
+        .collect();
 
     let detailed = DetailRouter::new(tech)
         .assign_with_symmetry(
@@ -492,76 +414,249 @@ pub fn conventional_flow(
             what: format!("detailed routing failed: {e}"),
         })?;
 
-    // Verification gate: the flat flow has no rendered cell masks (blocks
-    // are abstract per-transistor footprints), so the pass covers
-    // placement legality, routing DRC, and connectivity.
-    let verify = if FlowOptions::default().verify.enabled() {
-        let mut artifacts = FlowArtifacts::new(&spec.name, tech);
-        artifacts.cells = placed
-            .rects
-            .iter()
-            .map(|(name, r)| CellArtifact {
-                instance: name.clone(),
-                outline: *r,
-                geometry: None,
-            })
-            .collect();
-        artifacts.pins = placed.pins.clone();
-        artifacts.routing = Some(&placed.routing);
-        artifacts.detailed = Some(&detailed);
-        artifacts.expected_nets = placed.pins.iter().map(|(n, _)| n.clone()).collect();
-        Some(gate(check_flow(&artifacts))?)
-    } else {
-        None
-    };
-
-    // Electrical gate. The baseline has no operating-point data (the
-    // paper's conventional flow "performs no optimizations for
+    // The flat blocks are abstract per-transistor footprints with no
+    // chosen variant, so the verify pass covers placement legality,
+    // routing DRC, and connectivity. The baseline has no operating-point
+    // data (the paper's conventional flow "performs no optimizations for
     // parasitics"), so the EM pass has no currents to propagate and the
     // flat placement makes no symmetry claims; IR, well-tap reach, and
     // connectivity hygiene still apply.
-    let erc = if FlowOptions::default().verify.enabled() {
-        let report = electrical::erc_report(&ErcBuild {
-            tech,
-            lib,
-            spec,
-            biases: None,
-            routing: Some(&placed.routing),
-            widths: &HashMap::new(),
-            pins: &placed.pins,
-            rects: &placed.rects,
-            layouts: &layouts,
-            power: power.as_ref(),
-            with_currents: false,
-            with_symmetry: false,
-        });
-        Some(gate(report)?)
-    } else {
-        None
+    let erc = ErcBuild {
+        tech,
+        lib,
+        spec,
+        biases: None,
+        routing: Some(&placed.routing),
+        widths: &HashMap::new(),
+        pins: &placed.pins,
+        rects: &placed.rects,
+        layouts: &layouts,
+        power: power.as_ref(),
+        with_currents: false,
+        with_symmetry: false,
     };
+    let gates = gate_stage(
+        &options,
+        &erc,
+        &placed.chosen,
+        &detailed,
+        LintInputs::default,
+    );
+    if let Some((_, report)) = gates.failure() {
+        return Err(gate_error(report));
+    }
+    let realization = Realization {
+        layouts,
+        net_wires,
+        supply_r_ohm: supply_r,
+    };
+    Ok(finish_stage(
+        start,
+        &placed,
+        realization,
+        detailed,
+        gates,
+        Accounts::default(),
+    ))
+}
 
-    Ok(FlowOutcome {
-        kind: FlowKind::Conventional,
+/// One device-bearing instance of a circuit, resolved against the library
+/// once at flow entry.
+struct Resolved<'a> {
+    inst: &'a PrimitiveInst,
+    def: &'a PrimitiveDef,
+    /// The caller's bias record, or the nominal one for the class.
+    bias: Bias,
+}
+
+/// Resolves every instance to its definition, skipping device-less
+/// definitions (nothing to optimize or place per transistor) and filling in
+/// the nominal bias where `biases` has none. An unknown definition fails
+/// here, before any simulation.
+fn resolve<'a>(
+    tech: &Technology,
+    lib: &'a Library,
+    spec: &'a CircuitSpec,
+    biases: &HashMap<String, Bias>,
+) -> Result<Vec<Resolved<'a>>, FlowError> {
+    let mut out = Vec::with_capacity(spec.instances.len());
+    for inst in &spec.instances {
+        let def = lib
+            .get(&inst.def)
+            .ok_or_else(|| FlowError::UnknownPrimitive {
+                name: inst.def.clone(),
+            })?;
+        if def.spec.devices.is_empty() {
+            continue;
+        }
+        let bias = biases
+            .get(&inst.name)
+            .cloned()
+            .unwrap_or_else(|| Bias::nominal(tech, &def.class));
+        out.push(Resolved { inst, def, bias });
+    }
+    Ok(out)
+}
+
+/// What the preflight stage hands the rest of a flow: which flow runs, its
+/// clock, its cancellation handle, and the preflight reports that ride
+/// into the outcome.
+struct FlowStart {
+    kind: FlowKind,
+    started: Instant,
+    cancel: Option<CancelToken>,
+    techlint: Option<VerifyReport>,
+    schem: Option<VerifyReport>,
+}
+
+/// Preflight stage shared by every flow. Starts the clock, merges the
+/// caller's cancellation token with the options deadline (a run whose
+/// budget is already spent never starts), then runs the two static gates
+/// under the verify policy, before any geometry or simulation: techlint
+/// (deck self-consistency + library feasibility — a deck whose rule tables
+/// drifted from its stack dies with an exact `TECH.*`/`LIB.*` rule id
+/// instead of panicking inside a router) and schem (microseconds of
+/// schematic lints — a malformed request dies with exact `SCHEM.*` rule
+/// ids before the optimizer and its simulation counter even exist).
+fn preflight_stage(
+    kind: FlowKind,
+    tech: &Technology,
+    lib: &Library,
+    spec: &CircuitSpec,
+    biases: Option<&HashMap<String, Bias>>,
+    options: &FlowOptions,
+) -> Result<FlowStart, FlowError> {
+    let started = Instant::now();
+    let cancel = effective_cancel(options);
+    checkpoint(&cancel)?;
+    let verify = options.verify.enabled();
+    let techlint = verify
+        .then(|| gate(preflight::techlint_preflight(tech, lib)))
+        .transpose()?;
+    let schem = verify
+        .then(|| gate(preflight::schem_preflight(tech, lib, spec, biases)))
+        .transpose()?;
+    Ok(FlowStart {
+        kind,
+        started,
+        cancel,
         techlint,
         schem,
-        realization: Realization {
-            layouts,
-            net_wires,
-            supply_r_ohm: supply_r,
-        },
-        runtime: start.elapsed(),
-        sims: HashMap::new(),
+    })
+}
+
+/// The verify and ERC reports of one place/route attempt; both `None` when
+/// the verify policy skips the gates.
+#[derive(Default)]
+struct Gates {
+    verify: Option<VerifyReport>,
+    erc: Option<VerifyReport>,
+}
+
+impl Gates {
+    /// The first failing gate, verify before erc, with its report.
+    fn failure(&self) -> Option<(&'static str, &VerifyReport)> {
+        [("verify", &self.verify), ("erc", &self.erc)]
+            .into_iter()
+            .find_map(|(name, r)| r.as_ref().filter(|r| !r.is_passing()).map(|r| (name, r)))
+    }
+}
+
+/// The re-rendered mask geometry of instance `name`'s chosen variant:
+/// the drawn rectangles the DRC pass checks and the stream-out writes.
+/// `None` for blocks with no chosen variant (the flat baseline's
+/// per-transistor footprints, passives).
+pub(crate) fn cell_geometry(
+    tech: &Technology,
+    lib: &Library,
+    spec: &CircuitSpec,
+    chosen: &HashMap<String, PrimitiveLayout>,
+    name: &str,
+) -> Option<CellGeometry> {
+    let layout = chosen.get(name)?;
+    let inst = spec.instances.iter().find(|i| i.name == name)?;
+    let def = lib.get(&inst.def)?;
+    render(tech, &def.spec, &layout.config).ok()
+}
+
+/// Gate stage shared by every flow: under the verify policy, the static
+/// verification pass (DRC + LVS-lite + lints) over the placed cells,
+/// routing, and detailed tracks, then the electrical pass (EM, IR,
+/// symmetry/matching, connectivity hygiene) over the same attempt. The
+/// verdict is the caller's: the baseline fails on it, the optimized flow
+/// repairs.
+fn gate_stage(
+    options: &FlowOptions,
+    b: &ErcBuild<'_>,
+    chosen: &HashMap<String, PrimitiveLayout>,
+    detailed: &DetailedResult,
+    lints: impl FnOnce() -> LintInputs,
+) -> Gates {
+    if !options.verify.enabled() {
+        return Gates::default();
+    }
+    let mut artifacts = FlowArtifacts::new(&b.spec.name, b.tech);
+    artifacts.cells = b
+        .rects
+        .iter()
+        .map(|(name, outline)| CellArtifact {
+            instance: name.clone(),
+            outline: *outline,
+            geometry: cell_geometry(b.tech, b.lib, b.spec, chosen, name),
+        })
+        .collect();
+    artifacts.pins = b.pins.to_vec();
+    artifacts.routing = b.routing;
+    artifacts.detailed = Some(detailed);
+    artifacts.expected_nets = b.pins.iter().map(|(n, _)| n.clone()).collect();
+    artifacts.lints = lints();
+    Gates {
+        verify: Some(check_flow(&artifacts)),
+        erc: Some(electrical::erc_report(b)),
+    }
+}
+
+/// What the optimizer side of a flow reports besides the layout:
+/// simulation counts, survived faults, cache and corner results, and the
+/// stream-out. The baseline evaluates nothing and reports the default.
+#[derive(Default)]
+struct Accounts {
+    sims: HashMap<&'static str, usize>,
+    resilience: ResilienceReport,
+    cache: Option<CacheStats>,
+    cache_diagnostics: Vec<Violation>,
+    corners: Option<CornerReport>,
+    gds: Option<prima_gds::GdsArtifact>,
+}
+
+/// Finish stage shared by every flow: stops the clock and assembles the
+/// outcome of a gate-clean attempt.
+fn finish_stage(
+    start: FlowStart,
+    placed: &PlacedDesign,
+    realization: Realization,
+    detailed: DetailedResult,
+    gates: Gates,
+    accounts: Accounts,
+) -> FlowOutcome {
+    FlowOutcome {
+        kind: start.kind,
+        realization,
+        runtime: start.started.elapsed(),
+        sims: accounts.sims,
         area_um2: placed.area_um2,
         wirelength_um: placed.routing.total_wirelength() as f64 / 1000.0,
         detailed,
-        verify,
-        erc,
-        resilience: ResilienceReport::default(),
-        cache: None,
-        cache_diagnostics: Vec::new(),
-        corners: None,
-        gds: None,
-    })
+        techlint: start.techlint,
+        schem: start.schem,
+        verify: gates.verify,
+        erc: gates.erc,
+        resilience: accounts.resilience,
+        cache: accounts.cache,
+        cache_diagnostics: accounts.cache_diagnostics,
+        corners: accounts.corners,
+        gds: accounts.gds,
+    }
 }
 
 /// Opens the evaluation cache `policy` asks for, keyed under this
@@ -681,9 +776,11 @@ fn first_error(report: &VerifyReport) -> String {
 /// ranked aspect-ratio bins from Algorithm 1, the fallback cursor, the
 /// currently active (tuned) candidate per bin, and which bins have been
 /// exhausted and dropped.
-pub(crate) struct InstState {
-    /// Primitive definition name (the [`EvalLedger`] key).
-    pub(crate) def: String,
+pub(crate) struct InstState<'a> {
+    /// Primitive definition (its name is the [`EvalLedger`] key).
+    pub(crate) def: &'a PrimitiveDef,
+    /// Total fins the candidates were sized to.
+    pub(crate) fins: u64,
     /// Bias record the candidates were evaluated under.
     pub(crate) bias: Bias,
     /// Ranked candidates per aspect-ratio bin, best-first.
@@ -748,9 +845,8 @@ fn error_scopes(report: &VerifyReport) -> Vec<String> {
 }
 
 /// Shared optimized/manual implementation with fault isolation and bounded
-/// repair. With [`NoFaults`] and no organic failures every loop below runs
-/// exactly once and the result is bit-identical to the pre-resilience flow.
-#[allow(clippy::too_many_arguments)]
+/// repair. With a zero fault plan and no organic failures every loop below
+/// runs exactly once.
 fn run_flow(
     tech: &Technology,
     lib: &Library,
@@ -759,38 +855,10 @@ fn run_flow(
     seed: u64,
     kind: FlowKind,
     options: FlowOptions,
-    injector: &dyn FaultInjector,
-    budgets: RepairBudgets,
 ) -> Result<FlowOutcome, FlowError> {
-    let start = Instant::now();
-
-    // Cancellation: merge the caller's token with the options deadline, and
-    // refuse to start a run whose budget is already spent.
-    let cancel = effective_cancel(&options);
-    checkpoint(&cancel)?;
-
-    // Zeroth gate: deck self-consistency + library feasibility. A deck
-    // whose rule tables drifted from its stack dies here with an exact
-    // `TECH.*`/`LIB.*` rule id instead of panicking inside a router.
-    let techlint = if options.verify.enabled() {
-        Some(gate(preflight::techlint_preflight(tech, lib))?)
-    } else {
-        None
-    };
-
-    // Schematic preflight: the whole lint suite costs microseconds, so a
-    // malformed request dies with exact `SCHEM.*` rule ids before the
-    // optimizer (and its simulation counter) even exists.
-    let schem = if options.verify.enabled() {
-        Some(gate(preflight::schem_preflight(
-            tech,
-            lib,
-            spec,
-            Some(biases),
-        ))?)
-    } else {
-        None
-    };
+    let start = preflight_stage(kind, tech, lib, spec, Some(biases), &options)?;
+    let cancel = start.cancel.clone();
+    let resolved = resolve(tech, lib, spec, biases)?;
 
     let mut opt = Optimizer::new(tech);
     // The Arc is kept: corner-perturbed optimizers share the same store
@@ -803,10 +871,7 @@ fn run_flow(
     if let Some(token) = &cancel {
         opt.set_cancel(token.clone());
     }
-    let n_bins = match kind {
-        FlowKind::Manual => 4,
-        _ => 3,
-    };
+    let n_bins = if kind == FlowKind::Manual { 4 } else { 3 };
     if kind == FlowKind::Manual {
         opt.max_tuning_wires = 10;
         opt.max_port_routes = 10;
@@ -822,82 +887,58 @@ fn run_flow(
     // fail or panic are recorded in the ledger and skipped inside
     // `select_bins`; the bins hold the survivors.
     let mut states: Vec<(String, InstState)> = Vec::new();
-    type Memo = (
-        String,
-        u64,
-        Bias,
-        Vec<BinRanked>,
-        Vec<(PrimitiveLayout, f64)>,
-    );
-    let mut memo: Vec<Memo> = Vec::new();
-    for inst in &spec.instances {
-        let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
-            name: inst.def.clone(),
-        })?;
-        if def.spec.devices.is_empty() {
-            continue;
-        }
-        let bias = biases
-            .get(&inst.name)
-            .cloned()
-            .unwrap_or_else(|| Bias::nominal(tech, &def.class));
-        if let Some((.., bins, active)) = memo
+    for r in &resolved {
+        let fins = r.inst.total_fins;
+        let twin = states
             .iter()
-            .find(|(d, f, b, ..)| *d == inst.def && *f == inst.total_fins && *b == bias)
-        {
-            states.push((
-                inst.name.clone(),
-                InstState {
-                    def: inst.def.clone(),
-                    bias: bias.clone(),
-                    cursor: RepairCursor::new(bins.len()),
-                    dead: vec![false; bins.len()],
-                    bins: bins.clone(),
-                    active: active.clone(),
-                },
-            ));
-            continue;
-        }
-        let configs = config_space(inst.total_fins);
-        if configs.is_empty() {
-            continue;
-        }
-        let bins: Vec<BinRanked> = opt
-            .select_bins(def, &bias, &configs, n_bins, injector, &mut ledger)?
-            .into_iter()
-            .filter(|b| !b.ranked.is_empty())
-            .collect();
-        if bins.is_empty() {
-            return Err(FlowError::NoCandidates {
-                instance: inst.name.clone(),
-            });
-        }
-        let mut active = Vec::with_capacity(bins.len());
-        for bin in &bins {
-            if let Some(pick) = bin.ranked.first() {
+            .find(|(_, s)| s.def.name == r.def.name && s.fins == fins && s.bias == r.bias);
+        let (bins, active) = if let Some((_, twin)) = twin {
+            (twin.bins.clone(), twin.active.clone())
+        } else {
+            // The standard space the schematic preflight's `SCHEM.SIZE`
+            // rule validates against, so an instance that reaches the
+            // optimizer always has at least one candidate.
+            let configs = std_config_space(fins);
+            if configs.is_empty() {
+                continue;
+            }
+            let bins: Vec<BinRanked> = opt
+                .select_bins(
+                    r.def,
+                    &r.bias,
+                    &configs,
+                    n_bins,
+                    &options.faults,
+                    &mut ledger,
+                )?
+                .into_iter()
+                .filter(|b| !b.ranked.is_empty())
+                .collect();
+            if bins.is_empty() {
+                return Err(FlowError::NoCandidates {
+                    instance: r.inst.name.clone(),
+                });
+            }
+            let mut active = Vec::with_capacity(bins.len());
+            for pick in bins.iter().filter_map(|b| b.ranked.first()) {
                 active.push(tuned_candidate(
                     &opt,
-                    def,
-                    &bias,
+                    r.def,
+                    &r.bias,
                     pick,
                     options.tuning,
                     &mut resilience,
-                    &inst.name,
+                    &r.inst.name,
                 ));
             }
-        }
-        memo.push((
-            inst.def.clone(),
-            inst.total_fins,
-            bias.clone(),
-            bins.clone(),
-            active.clone(),
-        ));
+            (bins, active)
+        };
         states.push((
-            inst.name.clone(),
+            r.inst.name.clone(),
             InstState {
-                def: inst.def.clone(),
-                bias,
+                def: r.def,
+                fins,
+                bias: r.bias.clone(),
                 cursor: RepairCursor::new(bins.len()),
                 dead: vec![false; bins.len()],
                 bins,
@@ -917,7 +958,6 @@ fn run_flow(
         CornerPolicy::Sweep(copts) => Some(crate::corners::corner_stage(
             &crate::corners::CornerCtx {
                 tech,
-                lib,
                 opt: &opt,
                 copts,
                 tuning: options.tuning,
@@ -937,7 +977,7 @@ fn run_flow(
     let mut router = DetailRouter::new(tech);
     router.set_cancel(cancel.clone());
     for net in spec.nets() {
-        let n = injector.route_failures(&net);
+        let n = options.faults.route_failures(&net);
         if n > 0 {
             router.inject_failure(&net, n);
         }
@@ -978,14 +1018,12 @@ fn run_flow(
             if kind == FlowKind::Manual {
                 // The expert commits to the single best-performing cell and
                 // hand-fits the floorplan around it.
-                let bi = live
+                keep = live
                     .iter()
                     .copied()
                     .min_by(|&a, &b| st.active[a].1.total_cmp(&st.active[b].1))
-                    .ok_or_else(|| FlowError::NoCandidates {
-                        instance: name.clone(),
-                    })?;
-                keep = vec![bi];
+                    .into_iter()
+                    .collect();
             }
             cell_options.insert(
                 name.clone(),
@@ -995,47 +1033,17 @@ fn run_flow(
         }
 
         // ---- Place (variant selection) and global-route ------------------
-        let placed = place_and_route(tech, spec, &cell_options, seed)?;
-        let (routing, chosen) = (&placed.routing, &placed.chosen);
-        let blocks: Vec<(prima_geom::Rect, f64)> = placed
-            .rects
-            .iter()
-            .map(|(name, r)| (*r, block_current(biases.get(name))))
-            .collect();
-        let (supply_r, power) = supply_grid(tech, &blocks, placed.bbox);
+        let mut placed = place_and_route(tech, spec, &cell_options, seed)?;
+        let (supply_r, power) = supply_grid(tech, &placed, biases);
 
         // ---- Algorithm 2: port constraints + reconciliation --------------
+        let routing = &placed.routing;
+        let net_routes = global_routes(spec, routing);
         let mut per_net: HashMap<String, Vec<PortConstraint>> = HashMap::new();
-        let mut net_routes: HashMap<String, GlobalRoute> = HashMap::new();
-        for net in spec.nets() {
-            if is_power_net(&net) {
-                continue;
-            }
-            if let Some(route) = routing.net(&net) {
-                net_routes.insert(
-                    net.clone(),
-                    GlobalRoute {
-                        layer: route.dominant_layer(),
-                        len_nm: route.total_len_nm(),
-                        via_ends: 2,
-                    },
-                );
-            }
-        }
-        for inst in &spec.instances {
-            let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
-                name: inst.def.clone(),
-            })?;
-            if def.spec.devices.is_empty() {
-                continue;
-            }
-            let bias = biases
-                .get(&inst.name)
-                .cloned()
-                .unwrap_or_else(|| Bias::nominal(tech, &def.class));
+        for r in &resolved {
             // The routes at this primitive's ports, keyed by port net name.
             let mut routes: HashMap<String, GlobalRoute> = HashMap::new();
-            for (port, net) in &inst.conn {
+            for (port, net) in &r.inst.conn {
                 if let Some(gr) = net_routes.get(net) {
                     routes.insert(port.clone(), *gr);
                 }
@@ -1043,11 +1051,11 @@ fn run_flow(
             if routes.is_empty() {
                 continue;
             }
-            let layout = chosen.get(&inst.name);
-            let cons = opt.port_constraints(def, &bias, layout, inst.total_fins, &routes)?;
+            let layout = placed.chosen.get(&r.inst.name);
+            let cons = opt.port_constraints(r.def, &r.bias, layout, r.inst.total_fins, &routes)?;
             for c in cons {
                 // Back-map the port name to the circuit net.
-                if let Some(net) = inst.net_of(&c.net) {
+                if let Some(net) = r.inst.net_of(&c.net) {
                     per_net
                         .entry(net.to_string())
                         .or_default()
@@ -1072,10 +1080,8 @@ fn run_flow(
         let mut floors: HashMap<String, u32> = HashMap::new();
         for nc in &currents {
             if let Some(route) = routing.net(&nc.net) {
-                floors.insert(
-                    nc.net.clone(),
-                    prima_erc::em::em_floor(tech, route, nc.worst_a),
-                );
+                let floor = prima_erc::em::em_floor(tech, route, nc.worst_a);
+                floors.insert(nc.net.clone(), floor);
             }
         }
         for (net, constraints) in &mut per_net {
@@ -1106,12 +1112,6 @@ fn run_flow(
             }
         }
 
-        let mut sims = HashMap::new();
-        sims.insert("selection", opt.counter().count(Phase::Selection));
-        sims.insert("tuning", opt.counter().count(Phase::Tuning));
-        sims.insert("ports", opt.counter().count(Phase::PortConstraints));
-        sims.insert("corners", opt.counter().count(Phase::Corners));
-
         // Hand the reconciled widths to the detailed router (paper §I: "the
         // optimized widths are a requirement for the detailed router"),
         // retrying with a perturbed net ordering — the failing net first —
@@ -1132,7 +1132,7 @@ fn run_flow(
                         // no perturbed re-attempt — unwind immediately.
                         DetailError::Cancelled(c) => return Err(FlowError::Cancelled(*c)),
                     };
-                    if route_attempt >= budgets.route_attempts {
+                    if route_attempt >= options.budgets.route_attempts {
                         return Err(FlowError::RepairExhausted {
                             circuit: spec.name.clone(),
                             stage: "detail routing".to_string(),
@@ -1154,101 +1154,48 @@ fn run_flow(
             }
         };
 
-        // ---- Static verification gate (DRC + LVS-lite + lints) -----------
-        let verify = if options.verify.enabled() {
-            let outline_of: HashMap<&str, prima_geom::Rect> =
-                placed.rects.iter().map(|(n, r)| (n.as_str(), *r)).collect();
-            let mut artifacts = FlowArtifacts::new(&spec.name, tech);
-            for inst in &spec.instances {
-                let Some(&outline) = outline_of.get(inst.name.as_str()) else {
-                    continue;
-                };
-                // Re-render the chosen variant's mask geometry; the DRC
-                // pass checks the drawn rectangles, not the parasitic
-                // model.
-                let geometry = chosen.get(&inst.name).and_then(|layout| {
-                    lib.get(&inst.def)
-                        .and_then(|def| render(tech, &def.spec, &layout.config).ok())
-                });
-                artifacts.cells.push(CellArtifact {
-                    instance: inst.name.clone(),
-                    outline,
-                    geometry,
-                });
-            }
-            artifacts.pins = placed.pins.clone();
-            artifacts.routing = Some(routing);
-            artifacts.detailed = Some(&detailed);
-            artifacts.expected_nets = placed.pins.iter().map(|(n, _)| n.clone()).collect();
-            artifacts.lints = LintInputs {
-                metric_weights: {
-                    let mut seen_defs: Vec<&str> = Vec::new();
-                    let mut weights = Vec::new();
-                    for inst in &spec.instances {
-                        let Some(def) = lib.get(&inst.def) else {
-                            continue;
-                        };
-                        if seen_defs.contains(&def.name.as_str()) {
-                            continue;
-                        }
-                        seen_defs.push(&def.name);
-                        for m in &def.metrics {
-                            weights.push((format!("{}.{}", def.name, m.name), m.weight));
-                        }
-                    }
-                    weights
-                },
-                aspect_candidates: cell_options
-                    .values()
-                    .flatten()
-                    .map(|l| l.aspect_ratio())
-                    .collect(),
-                n_bins,
-                ports: if options.port_optimization {
-                    port_intervals(&per_net, &widths)
-                } else {
-                    Vec::new()
-                },
-            };
-            Some(check_flow(&artifacts))
-        } else {
-            None
+        // ---- Gates: verify (DRC + LVS-lite + lints), then ERC -------------
+        // EM runs over the routed topology at the reconciled widths (clean
+        // by construction thanks to the clamp above).
+        let lints = || LintInputs {
+            metric_weights: metric_weights(lib, spec),
+            aspect_candidates: cell_options
+                .values()
+                .flatten()
+                .map(|l| l.aspect_ratio())
+                .collect(),
+            n_bins,
+            ports: if options.port_optimization {
+                port_intervals(&per_net, &widths)
+            } else {
+                Vec::new()
+            },
         };
-
-        // Electrical gate: EM over the routed topology at the reconciled
-        // widths (clean by construction thanks to the clamp above), static
-        // IR on the synthesized grid, symmetry/matching lints, and
-        // connectivity hygiene.
-        let erc = if options.verify.enabled() {
-            Some(electrical::erc_report(&ErcBuild {
-                tech,
-                lib,
-                spec,
-                biases: Some(biases),
-                routing: Some(routing),
-                widths: &widths,
-                pins: &placed.pins,
-                rects: &placed.rects,
-                layouts: &placed.chosen,
-                power: power.as_ref(),
-                with_currents: options.port_optimization,
-                with_symmetry: true,
-            }))
-        } else {
-            None
+        let erc = ErcBuild {
+            tech,
+            lib,
+            spec,
+            biases: Some(biases),
+            routing: Some(routing),
+            widths: &widths,
+            pins: &placed.pins,
+            rects: &placed.rects,
+            layouts: &placed.chosen,
+            power: power.as_ref(),
+            with_currents: options.port_optimization,
+            with_symmetry: true,
         };
+        let gates = gate_stage(&options, &erc, &placed.chosen, &detailed, lints);
 
         // ---- Gate verdict + bounded candidate-fallback repair ------------
-        let failure: Option<(&'static str, usize, String, Vec<String>)> =
-            [("verify", verify.as_ref()), ("erc", erc.as_ref())]
-                .into_iter()
-                .find_map(|(g, r)| {
-                    r.filter(|r| !r.is_passing())
-                        .map(|r| (g, r.error_count(), first_error(r), error_scopes(r)))
-                });
-        let Some((gate_name, n_errors, first, scopes)) = failure else {
+        let Some((gate_name, report)) = gates.failure() else {
             resilience.absorb_ledger(&ledger);
-            let (cache_stats, cache_diagnostics) = finish_cache(opt.cache(), &mut resilience);
+            let (cache, cache_diagnostics) = finish_cache(opt.cache(), &mut resilience);
+            let mut sims = HashMap::new();
+            sims.insert("selection", opt.counter().count(Phase::Selection));
+            sims.insert("tuning", opt.counter().count(Phase::Tuning));
+            sims.insert("ports", opt.counter().count(Phase::PortConstraints));
+            sims.insert("corners", opt.counter().count(Phase::Corners));
             // Stream-out runs only on the gate-clean geometry, just before
             // `placed.chosen` is moved into the realization.
             let gds = if options.gds.enabled() {
@@ -1265,37 +1212,33 @@ fn run_flow(
             } else {
                 None
             };
-            return Ok(FlowOutcome {
-                kind,
-                techlint: techlint.clone(),
-                schem: schem.clone(),
-                realization: Realization {
-                    layouts: placed.chosen,
-                    net_wires,
-                    supply_r_ohm: supply_r,
-                },
-                runtime: start.elapsed(),
+            let realization = Realization {
+                layouts: std::mem::take(&mut placed.chosen),
+                net_wires,
+                supply_r_ohm: supply_r,
+            };
+            let accounts = Accounts {
                 sims,
-                area_um2: placed.area_um2,
-                wirelength_um: placed.routing.total_wirelength() as f64 / 1000.0,
-                detailed,
-                verify,
-                erc,
                 resilience,
-                cache: cache_stats,
+                cache,
                 cache_diagnostics,
-                corners: corner_report.clone(),
+                corners: corner_report,
                 gds,
-            });
+            };
+            return Ok(finish_stage(
+                start,
+                &placed,
+                realization,
+                detailed,
+                gates,
+                accounts,
+            ));
         };
-        if gate_attempt >= budgets.gate_attempts {
+        if gate_attempt >= options.budgets.gate_attempts {
             // Out of budget: surface the gate failure itself.
-            return Err(FlowError::Verify {
-                circuit: spec.name.clone(),
-                violations: n_errors,
-                first,
-            });
+            return Err(gate_error(report));
         }
+        let (first, scopes) = (first_error(report), error_scopes(report));
 
         // Victim priority: instances a violation names, then instances
         // tapping a violation's net, then spec order. The first victim with
@@ -1311,9 +1254,11 @@ fn run_flow(
                 }
             }
         }
-        victims.extend(states.iter().map(|(n, _)| n.clone()));
         let mut uniq: Vec<String> = Vec::new();
-        for v in victims {
+        for v in victims
+            .into_iter()
+            .chain(states.iter().map(|(n, _)| n.clone()))
+        {
             if !uniq.contains(&v) {
                 uniq.push(v);
             }
@@ -1335,24 +1280,21 @@ fn run_flow(
             // Record the failing candidate so no cursor re-selects it.
             let cur = st.cursor.current(bin);
             if let Some(&cand) = st.bins[bin].candidates.get(cur) {
-                if !ledger.is_failed(&st.def, cand) {
+                if !ledger.is_failed(&st.def.name, cand) {
                     ledger.record(
-                        &st.def,
+                        &st.def.name,
                         cand,
                         false,
                         format!("failed {gate_name} gate: {first}"),
                     );
                 }
             }
-            let pairs = st.bins[bin].id_pairs(&st.def);
+            let pairs = st.bins[bin].id_pairs(&st.def.name);
             if let Some(rank) = st.cursor.demote(bin, &pairs, &ledger) {
-                let def = lib.get(&st.def).ok_or(FlowError::UnknownPrimitive {
-                    name: st.def.clone(),
-                })?;
                 if let Some(pick) = st.bins[bin].ranked.get(rank) {
                     st.active[bin] = tuned_candidate(
                         &opt,
-                        def,
+                        st.def,
                         &st.bias,
                         pick,
                         options.tuning,
@@ -1396,6 +1338,24 @@ fn run_flow(
     }
 }
 
+/// Every metric's cost weight, once per library definition the circuit
+/// uses: the configuration lints' view of the cost function.
+fn metric_weights(lib: &Library, spec: &CircuitSpec) -> Vec<(String, f64)> {
+    let mut weights = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
+    for def in spec.instances.iter().filter_map(|i| lib.get(&i.def)) {
+        if !seen.contains(&def.name.as_str()) {
+            seen.push(&def.name);
+            let named = def
+                .metrics
+                .iter()
+                .map(|m| (format!("{}.{}", def.name, m.name), m.weight));
+            weights.extend(named);
+        }
+    }
+    weights
+}
+
 /// Folds each net's port constraints into lint intervals: when the
 /// intervals intersect, the reconciled width must lie in the intersection;
 /// disjoint intervals (the Algorithm-2 cost-sum fallback) are checked
@@ -1430,94 +1390,63 @@ fn port_intervals(
     out
 }
 
+/// Signal nets in first-appearance order: every net but the manually
+/// routed supplies.
+fn signal_nets(spec: &CircuitSpec) -> impl Iterator<Item = String> {
+    spec.nets().into_iter().filter(|net| !is_power_net(net))
+}
+
 /// Flat (transistor-level) placement and routing for the conventional
 /// baseline: each device of each primitive is its own block, and every
 /// signal net pins onto every connected device individually.
 fn flat_place_and_route(
     tech: &Technology,
-    lib: &Library,
     spec: &CircuitSpec,
+    resolved: &[Resolved<'_>],
     seed: u64,
 ) -> Result<PlacedDesign, FlowError> {
     let mut problem = PlacementProblem::new();
     // (instance, device) blocks plus which net each block's terminals use.
     let mut block_nets: Vec<Vec<String>> = Vec::new();
-    let mut index_of: Vec<(String, usize)> = Vec::new(); // (inst, block ix)
-    for inst in &spec.instances {
-        let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
-            name: inst.def.clone(),
-        })?;
-        if def.spec.devices.is_empty() {
-            continue;
-        }
-        for d in &def.spec.devices {
+    let mut owners: Vec<String> = Vec::new();
+    for r in resolved {
+        for d in &r.def.spec.devices {
             // A lone transistor block: square-ish footprint from its fin
             // count on the technology grid.
-            let fins = (inst.total_fins * d.ratio as u64).max(1);
+            let fins = (r.inst.total_fins * d.ratio as u64).max(1);
             let area_nm2 =
                 fins as f64 * tech.fin.fin_pitch as f64 * tech.fin.poly_pitch as f64 * 2.0;
             let side = (area_nm2.sqrt() as i64).max(200);
-            let ix = problem.add_block(Block::new(
-                &format!("{}::{}", inst.name, d.name),
+            problem.add_block(Block::new(
+                &format!("{}::{}", r.inst.name, d.name),
                 vec![(side, side)],
             ));
-            index_of.push((inst.name.clone(), ix));
+            owners.push(r.inst.name.clone());
             let nets: Vec<String> = [&d.drain, &d.gate, &d.source]
                 .iter()
-                .filter_map(|port| inst.net_of(port).map(str::to_string))
+                .filter_map(|port| r.inst.net_of(port).map(str::to_string))
                 .collect();
             block_nets.push(nets);
         }
     }
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
-        let pins: Vec<usize> = block_nets
-            .iter()
-            .enumerate()
-            .filter(|(_, nets)| nets.contains(&net))
-            .map(|(i, _)| i)
-            .collect();
+    let blocks_on = |net: &str| -> Vec<usize> {
+        (0..block_nets.len())
+            .filter(|&i| block_nets[i].iter().any(|n| n == net))
+            .collect()
+    };
+    for net in signal_nets(spec) {
+        let pins = blocks_on(&net);
         if pins.len() >= 2 {
             problem.add_net(Net::new(&net, pins));
         }
     }
-    let placement = Placer::new(seed).place(&problem)?;
-    let area = placement.bbox(&problem).area() as f64 * 1e-6;
-
-    let mut routing_problem = RoutingProblem::new();
-    let mut net_pins: Vec<(String, Vec<Point>)> = Vec::new();
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
-        let pins: Vec<Point> = block_nets
-            .iter()
-            .enumerate()
-            .filter(|(_, nets)| nets.contains(&net))
-            .map(|(i, _)| placement.rect(&problem, i).center())
-            .collect();
-        if pins.len() >= 2 {
-            routing_problem.add_net(&net, pins.clone());
-            net_pins.push((net.clone(), pins));
-        }
-    }
-    let routing = GlobalRouter::new(tech).route(&routing_problem)?;
-    let rects: Vec<(String, prima_geom::Rect)> = index_of
-        .iter()
-        .map(|(inst, ix)| (inst.clone(), placement.rect(&problem, *ix)))
-        .collect();
-    let bbox = placement.bbox(&problem);
-    Ok(PlacedDesign {
-        area_um2: area,
-        routing,
-        chosen: HashMap::new(),
-        chosen_variant: HashMap::new(),
-        bbox,
-        rects,
-        pins: net_pins,
+    anneal_and_route(tech, spec, &problem, owners, seed, |placement, net| {
+        blocks_on(net)
+            .into_iter()
+            .map(|i| placement.rect(&problem, i).center())
+            .collect()
     })
+    .map(|(placed, _)| placed)
 }
 
 /// Deterministic small hash of a port name (FNV-1a) used to spread port
@@ -1553,9 +1482,47 @@ struct PlacedDesign {
     pins: Vec<(String, Vec<Point>)>,
 }
 
+/// Shared tail of both placers: anneals `problem` (block `i` belongs to
+/// instance `owners[i]`), then global-routes every signal net with at
+/// least two pins, `pins_of` giving a net's pin positions on the
+/// placement. The chosen variants are left to the caller.
+fn anneal_and_route(
+    tech: &Technology,
+    spec: &CircuitSpec,
+    problem: &PlacementProblem,
+    owners: Vec<String>,
+    seed: u64,
+    pins_of: impl Fn(&Placement, &str) -> Vec<Point>,
+) -> Result<(PlacedDesign, Placement), FlowError> {
+    let placement = Placer::new(seed).place(problem)?;
+    let bbox = placement.bbox(problem);
+    let mut routing_problem = RoutingProblem::new();
+    let mut pins = Vec::new();
+    for net in signal_nets(spec) {
+        let points = pins_of(&placement, &net);
+        if points.len() >= 2 {
+            routing_problem.add_net(&net, points.clone());
+            pins.push((net, points));
+        }
+    }
+    let placed = PlacedDesign {
+        area_um2: bbox.area() as f64 * 1e-6,
+        routing: GlobalRouter::new(tech).route(&routing_problem)?,
+        chosen: HashMap::new(),
+        chosen_variant: HashMap::new(),
+        bbox,
+        rects: owners
+            .into_iter()
+            .enumerate()
+            .map(|(i, name)| (name, placement.rect(problem, i)))
+            .collect(),
+        pins,
+    };
+    Ok((placed, placement))
+}
+
 /// Places the blocks (choosing a variant per instance) and global-routes
-/// the signal nets. Returns the placement area (µm²), the routing result,
-/// the chosen layout per instance, and the placed geometry.
+/// the signal nets.
 fn place_and_route(
     tech: &Technology,
     spec: &CircuitSpec,
@@ -1576,10 +1543,7 @@ fn place_and_route(
         let ix = problem.add_block(Block::new(&inst.name, variants));
         index_of.insert(inst.name.clone(), ix);
     }
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
+    for net in signal_nets(spec) {
         let mut pins: Vec<usize> = spec
             .taps(&net)
             .iter()
@@ -1597,71 +1561,39 @@ fn place_and_route(
         }
     }
 
-    let placement = Placer::new(seed).place(&problem)?;
-    let area = placement.bbox(&problem).area() as f64 * 1e-6;
-
-    // Chosen layout per instance = the variant the placer picked.
-    let mut chosen = HashMap::new();
-    let mut chosen_variant = HashMap::new();
-    for inst in &spec.instances {
-        if let Some(layouts) = options.get(&inst.name) {
-            if !layouts.is_empty() {
-                let v = placement.variants[index_of[&inst.name]].min(layouts.len() - 1);
-                chosen.insert(inst.name.clone(), layouts[v].clone());
-                chosen_variant.insert(inst.name.clone(), v);
-            }
-        }
-    }
-
     // Routing: pins at per-net port positions inside each block. A cell's
     // ports sit at distinct boundary locations, so each net gets a
     // deterministic offset from the block center derived from its name —
     // this is what lets the detailed router keep symmetric pairs apart.
-    let mut routing_problem = RoutingProblem::new();
-    let mut net_pins: Vec<(String, Vec<Point>)> = Vec::new();
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
-        let mut pins: Vec<Point> = Vec::new();
-        let mut seen = Vec::new();
-        for (inst, port) in spec.taps(&net) {
-            if seen.contains(&inst.name) {
-                continue;
+    let owners = spec.instances.iter().map(|i| i.name.clone()).collect();
+    let (mut placed, placement) =
+        anneal_and_route(tech, spec, &problem, owners, seed, |placement, net| {
+            let mut pins: Vec<Point> = Vec::new();
+            let mut seen = Vec::new();
+            for (inst, port) in spec.taps(net) {
+                if seen.contains(&inst.name) {
+                    continue;
+                }
+                seen.push(inst.name.clone());
+                let r = placement.rect(&problem, index_of[&inst.name]);
+                let c = r.center();
+                let h = port_hash(port);
+                let dx = (h % 1024) as i64 * (r.width() / 2) / 1024 - r.width() / 4;
+                let dy = ((h / 1024) % 1024) as i64 * (r.height() / 2) / 1024 - r.height() / 4;
+                pins.push(Point::new(c.x + dx, c.y + dy));
             }
-            seen.push(inst.name.clone());
-            let ix = index_of[&inst.name];
-            let r = placement.rect(&problem, ix);
-            let c = r.center();
-            let h = port_hash(port);
-            let dx = (h % 1024) as i64 * (r.width() / 2) / 1024 - r.width() / 4;
-            let dy = ((h / 1024) % 1024) as i64 * (r.height() / 2) / 1024 - r.height() / 4;
-            pins.push(Point::new(c.x + dx, c.y + dy));
-        }
-        if pins.len() >= 2 {
-            routing_problem.add_net(&net, pins.clone());
-            net_pins.push((net.clone(), pins));
+            pins
+        })?;
+
+    // Chosen layout per instance = the variant the placer picked.
+    for inst in &spec.instances {
+        if let Some(layouts) = options.get(&inst.name).filter(|l| !l.is_empty()) {
+            let v = placement.variants[index_of[&inst.name]].min(layouts.len() - 1);
+            placed.chosen.insert(inst.name.clone(), layouts[v].clone());
+            placed.chosen_variant.insert(inst.name.clone(), v);
         }
     }
-    let routing = GlobalRouter::new(tech).route(&routing_problem)?;
-    let rects: Vec<(String, prima_geom::Rect)> = spec
-        .instances
-        .iter()
-        .map(|inst| {
-            let ix = index_of[&inst.name];
-            (inst.name.clone(), placement.rect(&problem, ix))
-        })
-        .collect();
-    let bbox = placement.bbox(&problem);
-    Ok(PlacedDesign {
-        area_um2: area,
-        routing,
-        chosen,
-        chosen_variant,
-        bbox,
-        rects,
-        pins: net_pins,
-    })
+    Ok(placed)
 }
 
 #[cfg(test)]
@@ -1689,7 +1621,8 @@ mod tests {
         let lib = Library::standard();
         let spec = CsAmp::spec();
         let biases = CsAmp::biases(&tech, &lib).unwrap();
-        let out = optimized_flow(&tech, &lib, &spec, &biases, 7).unwrap();
+        let out =
+            optimized_flow_with(&tech, &lib, &spec, &biases, 7, FlowOptions::default()).unwrap();
         assert_eq!(out.realization.layouts.len(), 2);
         assert!(out.sims["selection"] > 0, "selection sims recorded");
         assert!(out.sims["tuning"] > 0, "tuning sims recorded");
@@ -1743,7 +1676,8 @@ mod tests {
         // its resistance equals the k = 1 wire for the same route.
         assert!(out.sims["tuning"] == 0, "tuning must not simulate");
         assert!(out.realization.net_wires.contains_key("vout"));
-        let on = optimized_flow(&tech, &lib, &spec, &biases, 7).unwrap();
+        let on =
+            optimized_flow_with(&tech, &lib, &spec, &biases, 7, FlowOptions::default()).unwrap();
         assert!(on.sims["tuning"] > 0);
     }
 
@@ -1783,6 +1717,33 @@ mod tests {
                 assert_eq!(c.reason, prima_cache::CancelReason::Trip);
             }
             other => panic!("expected Cancelled(Trip), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_definition_fails_before_any_candidate_is_evaluated() {
+        let tech = Technology::finfet7();
+        let lib = Library::standard();
+        let mut spec = CsAmp::spec();
+        spec.instances.truncate(1);
+        assert_eq!(spec.instances[0].def, "cs_amp");
+        spec.instances.push(crate::PrimitiveInst::new(
+            "x_missing",
+            "no_such_primitive",
+            8,
+            &[("out", "vout")],
+        ));
+        // The trip wire passes the entry checkpoint and fires on the next
+        // check, which the first candidate evaluation would make.
+        let opts = FlowOptions {
+            verify: VerifyPolicy::Off,
+            cancel: Some(CancelToken::cancel_after_checks(1)),
+            ..FlowOptions::default()
+        };
+        let biases = HashMap::new();
+        match optimized_flow_with(&tech, &lib, &spec, &biases, 7, opts) {
+            Err(FlowError::UnknownPrimitive { name }) => assert_eq!(name, "no_such_primitive"),
+            other => panic!("expected UnknownPrimitive, got {other:?}"),
         }
     }
 

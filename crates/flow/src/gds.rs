@@ -13,12 +13,13 @@ use std::collections::HashMap;
 
 use prima_gds::{stream_out, GdsArtifact, GdsCellDef, GdsDesign, GdsLabel, GdsPlacement};
 use prima_geom::{Point, Rect};
-use prima_layout::{render, MaskLayer, PrimitiveLayout};
+use prima_layout::{MaskLayer, PrimitiveLayout};
 use prima_pdk::{RouteDir, Technology};
 use prima_primitives::Library;
 use prima_route::detail::DetailedResult;
 
 use crate::circuits::CircuitSpec;
+use crate::flows::cell_geometry;
 use crate::FlowError;
 
 /// Everything the stream-out stage reads, borrowed from the flow's
@@ -68,21 +69,10 @@ pub(crate) fn build_design(ctx: &GdsCtx<'_>) -> GdsDesign {
     let mut cells = Vec::with_capacity(ctx.rects.len());
     let mut placements = Vec::with_capacity(ctx.rects.len());
     for (name, outline) in ctx.rects {
-        // Re-render the chosen variant's mask geometry (the verify gate's
-        // idiom). Flat-flow blocks and passives have none; they become
-        // outline-only structures so the hierarchy stays complete.
-        let geometry = ctx
-            .spec
-            .instances
-            .iter()
-            .find(|i| &i.name == name)
-            .and_then(|inst| {
-                ctx.chosen.get(name).and_then(|layout| {
-                    ctx.lib
-                        .get(&inst.def)
-                        .and_then(|def| render(ctx.tech, &def.spec, &layout.config).ok())
-                })
-            });
+        // The verify gate's re-rendered geometry. Flat-flow blocks and
+        // passives have none; they become outline-only structures so the
+        // hierarchy stays complete.
+        let geometry = cell_geometry(ctx.tech, ctx.lib, ctx.spec, ctx.chosen, name);
         match geometry {
             Some(geom) => {
                 cells.push(GdsCellDef {

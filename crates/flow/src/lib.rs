@@ -44,8 +44,8 @@ use prima_spice::netlist::SpiceError;
 
 pub use builder::{build_circuit, PrimitiveInst, Realization};
 pub use flows::{
-    conventional_flow, manual_flow, optimized_flow, optimized_flow_resilient, optimized_flow_with,
-    FlowKind, FlowOptions, FlowOutcome, GdsPolicy, VerifyPolicy,
+    conventional_flow, manual_flow, optimized_flow_with, FlowKind, FlowOptions, FlowOutcome,
+    GdsPolicy, VerifyPolicy,
 };
 pub use preflight::{schem_preflight, techlint_preflight};
 pub use prima_cache::{CacheHub, CachePolicy, CacheStats, Namespace};

@@ -1,6 +1,6 @@
 //! # prima-serve
 //!
-//! A long-lived batch evaluation service over the resilient optimized flow:
+//! A long-lived batch evaluation service over the optimized flow:
 //! many tenants submit circuit requests, a fixed worker pool executes them,
 //! and **every submission resolves to exactly one outcome** — the
 //! zero-lost-responses invariant.
@@ -62,7 +62,7 @@ use prima_core::{
 };
 use prima_flow::circuits::CircuitSpec;
 use prima_flow::{
-    optimized_flow_resilient, CachePolicy, FlowError, FlowOptions, GdsPolicy, VerifyPolicy,
+    optimized_flow_with, CachePolicy, FlowError, FlowOptions, GdsPolicy, VerifyPolicy,
 };
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library, TESTBENCH_VERSION};
@@ -156,10 +156,11 @@ pub struct ServeRequest {
     /// Wall-clock budget, measured from submit (queue time included).
     /// `None` falls back to [`ServeConfig::default_deadline`].
     pub deadline: Option<Duration>,
-    /// Fault-injection plan for the **first** attempt; retries run clean
-    /// (injected faults model transient infrastructure failures).
+    /// Fault-injection plan ([`FlowOptions::faults`]) for the **first**
+    /// attempt; retries run clean (injected faults model transient
+    /// infrastructure failures).
     pub plan: FaultPlan,
-    /// Repair budgets for the resilient flow.
+    /// Repair budgets the flow runs under ([`FlowOptions::budgets`]).
     pub budgets: RepairBudgets,
     /// Test/ops hook: busy-wait this long (honoring the cancel token)
     /// before the flow runs, simulating a slow external dependency.
@@ -678,7 +679,7 @@ fn cancelled_outcome(reason: CancelReason) -> ServeOutcome {
 }
 
 /// Runs one request to resolution: deadline checks, the optional stall,
-/// the resilient flow, and bounded classified retries.
+/// the optimized flow, and bounded classified retries.
 fn run_request(inner: &Inner, q: Queued) -> RequestReport {
     let queued_for = q.enqueued.elapsed();
     // Expired while waiting: resolve without spending a single simulation.
@@ -725,8 +726,11 @@ fn run_request(inner: &Inner, q: Queued) -> RequestReport {
         attempts += 1;
         // Injected faults model transient infrastructure failures: they
         // apply to the first attempt only, so a retry can actually succeed.
-        let clean = FaultPlan::default();
-        let plan = if attempts == 1 { &q.req.plan } else { &clean };
+        let faults = if attempts == 1 {
+            q.req.plan.clone()
+        } else {
+            FaultPlan::none()
+        };
         let options = FlowOptions {
             verify: inner.config.verify,
             solver: inner.config.solver.clone(),
@@ -737,17 +741,17 @@ fn run_request(inner: &Inner, q: Queued) -> RequestReport {
             } else {
                 GdsPolicy::Off
             },
+            faults,
+            budgets: q.req.budgets,
             ..FlowOptions::default()
         };
-        let result = optimized_flow_resilient(
+        let result = optimized_flow_with(
             &inner.tech,
             &inner.lib,
             &q.req.circuit,
             &q.req.biases,
             q.req.seed,
             options,
-            plan,
-            q.req.budgets,
         );
         match result {
             Ok(out) => {

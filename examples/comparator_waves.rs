@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use prima_flow::circuits::StrongArm;
-use prima_flow::{build_circuit, optimized_flow};
+use prima_flow::{build_circuit, optimized_flow_with, FlowOptions};
 use prima_layout::render;
 use prima_pdk::Technology;
 use prima_primitives::Library;
@@ -21,7 +21,8 @@ fn main() {
     let lib = Library::standard();
     let spec = StrongArm::spec();
     let biases = StrongArm::biases(&tech, &lib).expect("bias extraction");
-    let flow = optimized_flow(&tech, &lib, &spec, &biases, 42).expect("optimized flow");
+    let flow = optimized_flow_with(&tech, &lib, &spec, &biases, 42, FlowOptions::default())
+        .expect("optimized flow");
 
     // Assemble and drive the comparator the same way the testbench does.
     let mut c = build_circuit(&tech, &lib, &spec.instances, &flow.realization).expect("assembly");

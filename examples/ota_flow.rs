@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use prima_flow::circuits::FiveTOta;
-use prima_flow::{conventional_flow, optimized_flow, Realization};
+use prima_flow::{conventional_flow, optimized_flow_with, FlowOptions, Realization};
 use prima_pdk::Technology;
 use prima_primitives::Library;
 
@@ -31,7 +31,8 @@ fn main() {
 
     println!("\n== optimized flow (this work) ==");
     let biases = FiveTOta::biases(&tech, &lib).expect("bias extraction");
-    let opt = optimized_flow(&tech, &lib, &spec, &biases, 42).expect("optimized flow");
+    let opt = optimized_flow_with(&tech, &lib, &spec, &biases, 42, FlowOptions::default())
+        .expect("optimized flow");
     let opt_m = FiveTOta::measure(&tech, &lib, &opt.realization).expect("optimized sim");
     println!("{opt_m}");
     println!(

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use prima_flow::circuits::RoVco;
-use prima_flow::{conventional_flow, optimized_flow, Realization};
+use prima_flow::{conventional_flow, optimized_flow_with, FlowOptions, Realization};
 use prima_pdk::Technology;
 use prima_primitives::Library;
 
@@ -34,7 +34,8 @@ fn main() {
 
     println!("\n== optimized flow (this work) ==");
     let biases = vco.biases(&tech, &lib).expect("bias extraction");
-    let opt = optimized_flow(&tech, &lib, &spec, &biases, 17).expect("optimized flow");
+    let opt = optimized_flow_with(&tech, &lib, &spec, &biases, 17, FlowOptions::default())
+        .expect("optimized flow");
     let opt_m = vco
         .measure(&tech, &lib, &opt.realization)
         .expect("optimized VCO");

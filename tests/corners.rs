@@ -20,8 +20,8 @@ use std::time::Duration;
 use prima_core::Health;
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
 use prima_flow::{
-    instance_fingerprint, optimized_flow, optimized_flow_with, CachePolicy, CornerOptions,
-    CornerPolicy, FlowError, FlowOptions, FlowOutcome, MismatchSampler, VerifyPolicy,
+    instance_fingerprint, optimized_flow_with, CachePolicy, CornerOptions, CornerPolicy, FlowError,
+    FlowOptions, FlowOutcome, MismatchSampler, VerifyPolicy,
 };
 use prima_pdk::{CornerBounds, CornerSpec, Technology};
 use prima_primitives::{Bias, Library};
@@ -305,7 +305,15 @@ fn corner_runs_leave_nominal_results_unchanged() {
     let tech = Technology::finfet7();
     let lib = Library::standard();
     let biases = CsAmp::biases(&tech, &lib).unwrap();
-    let plain = optimized_flow(&tech, &lib, &CsAmp::spec(), &biases, SEED).unwrap();
+    let plain = optimized_flow_with(
+        &tech,
+        &lib,
+        &CsAmp::spec(),
+        &biases,
+        SEED,
+        FlowOptions::default(),
+    )
+    .unwrap();
     let swept =
         optimized_flow_with(&tech, &lib, &CsAmp::spec(), &biases, SEED, sweep_options(0)).unwrap();
     assert_bit_identical("cs_amp", "swept vs plain", &swept, &plain);
@@ -346,7 +354,7 @@ fn corner_policy_off_is_bit_identical_to_plain_flow_on_all_circuits() {
     let tech = Technology::finfet7();
     let lib = Library::standard();
     for (name, spec, biases) in benchmark_circuits(&tech, &lib) {
-        let plain = optimized_flow(&tech, &lib, &spec, &biases, SEED)
+        let plain = optimized_flow_with(&tech, &lib, &spec, &biases, SEED, FlowOptions::default())
             .unwrap_or_else(|e| panic!("{name}: plain flow failed: {e}"));
         let off = optimized_flow_with(
             &tech,

@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use prima_flow::circuits::{CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::{conventional_flow, optimized_flow};
+use prima_flow::{conventional_flow, optimized_flow_with, FlowOptions};
 use prima_geom::{Point, Rect};
 use prima_pdk::Technology;
 use prima_primitives::Library;
@@ -50,7 +50,8 @@ fn optimized_flows_verify_clean_on_all_four_circuits() {
         ("vco", vco.spec(), vco.biases(&tech, &lib).unwrap()),
     ];
     for (name, spec, biases) in cases {
-        let out = optimized_flow(&tech, &lib, &spec, &biases, 11).unwrap();
+        let out =
+            optimized_flow_with(&tech, &lib, &spec, &biases, 11, FlowOptions::default()).unwrap();
         let report = out.verify.expect("verify gate is on in debug builds");
         assert!(report.is_clean(), "{name}: {}", report.summary());
         assert!(report.rects_checked > 0, "{name}: no geometry was checked");

@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used)]
 
 use prima_flow::circuits::{CsAmp, FiveTOta};
-use prima_flow::{conventional_flow, optimized_flow, FlowKind, Realization};
+use prima_flow::{conventional_flow, optimized_flow_with, FlowKind, FlowOptions, Realization};
 use prima_pdk::Technology;
 use prima_primitives::Library;
 
@@ -24,7 +24,7 @@ fn optimized_flow_beats_conventional_on_ota_ugf() {
     let conv_m = FiveTOta::measure(&tech, &lib, &conv.realization).unwrap();
 
     let biases = FiveTOta::biases(&tech, &lib).unwrap();
-    let opt = optimized_flow(&tech, &lib, &spec, &biases, 42).unwrap();
+    let opt = optimized_flow_with(&tech, &lib, &spec, &biases, 42, FlowOptions::default()).unwrap();
     let opt_m = FiveTOta::measure(&tech, &lib, &opt.realization).unwrap();
 
     let dev = |x: f64| (x - sch.ugf_ghz).abs() / sch.ugf_ghz;
@@ -55,7 +55,7 @@ fn all_flows_produce_functional_cs_amp() {
 
     let conv = conventional_flow(&tech, &lib, &spec, 3).unwrap();
     assert_eq!(conv.kind, FlowKind::Conventional);
-    let opt = optimized_flow(&tech, &lib, &spec, &biases, 3).unwrap();
+    let opt = optimized_flow_with(&tech, &lib, &spec, &biases, 3, FlowOptions::default()).unwrap();
     assert_eq!(opt.kind, FlowKind::Optimized);
 
     for outcome in [&conv, &opt] {
@@ -81,8 +81,8 @@ fn flows_are_deterministic() {
     let (tech, lib) = env();
     let spec = CsAmp::spec();
     let biases = CsAmp::biases(&tech, &lib).unwrap();
-    let a = optimized_flow(&tech, &lib, &spec, &biases, 9).unwrap();
-    let b = optimized_flow(&tech, &lib, &spec, &biases, 9).unwrap();
+    let a = optimized_flow_with(&tech, &lib, &spec, &biases, 9, FlowOptions::default()).unwrap();
+    let b = optimized_flow_with(&tech, &lib, &spec, &biases, 9, FlowOptions::default()).unwrap();
     assert_eq!(a.realization.layouts.len(), b.realization.layouts.len());
     for (name, la) in &a.realization.layouts {
         let lb = &b.realization.layouts[name];
@@ -108,7 +108,7 @@ fn optimized_primitives_have_lower_cost_than_defaults() {
     let spec = FiveTOta::spec();
     let biases = FiveTOta::biases(&tech, &lib).unwrap();
     let conv = conventional_flow(&tech, &lib, &spec, 5).unwrap();
-    let opt = optimized_flow(&tech, &lib, &spec, &biases, 5).unwrap();
+    let opt = optimized_flow_with(&tech, &lib, &spec, &biases, 5, FlowOptions::default()).unwrap();
 
     let o = Optimizer::new(&tech);
     for inst in &spec.instances {
@@ -161,7 +161,7 @@ fn detailed_routing_honors_port_widths() {
     let (tech, lib) = env();
     let spec = FiveTOta::spec();
     let biases = FiveTOta::biases(&tech, &lib).unwrap();
-    let opt = optimized_flow(&tech, &lib, &spec, &biases, 21).unwrap();
+    let opt = optimized_flow_with(&tech, &lib, &spec, &biases, 21, FlowOptions::default()).unwrap();
     assert!(opt.detailed.verify_no_conflicts());
     assert!(opt.detailed.occupied_slots() > 0);
     let conv = conventional_flow(&tech, &lib, &spec, 21).unwrap();
@@ -198,7 +198,7 @@ fn conventional_flat_placement_costs_wirelength() {
     let spec = FiveTOta::spec();
     let biases = FiveTOta::biases(&tech, &lib).unwrap();
     let conv = conventional_flow(&tech, &lib, &spec, 42).unwrap();
-    let opt = optimized_flow(&tech, &lib, &spec, &biases, 42).unwrap();
+    let opt = optimized_flow_with(&tech, &lib, &spec, &biases, 42, FlowOptions::default()).unwrap();
     assert!(
         conv.wirelength_um > 1.3 * opt.wirelength_um,
         "flat {} µm vs hierarchical {} µm",

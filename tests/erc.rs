@@ -15,7 +15,7 @@ use prima_erc::{
     check_erc, CentroidGroup, ErcArtifacts, NetCurrent, Severity, SupplyTap, SymmetryPair,
 };
 use prima_flow::circuits::{CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::{conventional_flow, optimized_flow};
+use prima_flow::{conventional_flow, optimized_flow_with, FlowOptions};
 use prima_geom::{Point, Rect};
 use prima_pdk::Technology;
 use prima_primitives::Library;
@@ -62,7 +62,8 @@ fn optimized_flows_pass_erc_on_all_four_circuits() {
         ("vco", vco.spec(), vco.biases(&tech, &lib).unwrap()),
     ];
     for (name, spec, biases) in cases {
-        let out = optimized_flow(&tech, &lib, &spec, &biases, 11).unwrap();
+        let out =
+            optimized_flow_with(&tech, &lib, &spec, &biases, 11, FlowOptions::default()).unwrap();
         let report = out.erc.expect("erc gate is on in debug builds");
         assert!(report.is_clean(), "{name}: {}", report.summary());
         assert!(report.nets_checked > 0, "{name}: no nets were checked");
@@ -95,7 +96,7 @@ fn em_clamp_widens_the_ota_tail_net() {
     let (tech, lib) = env();
     let spec = FiveTOta::spec();
     let biases = FiveTOta::biases(&tech, &lib).unwrap();
-    let out = optimized_flow(&tech, &lib, &spec, &biases, 11).unwrap();
+    let out = optimized_flow_with(&tech, &lib, &spec, &biases, 11, FlowOptions::default()).unwrap();
     let spans: Vec<_> = out
         .detailed
         .assignments

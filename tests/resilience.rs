@@ -10,10 +10,7 @@ use std::collections::HashMap;
 
 use prima_core::{EvalLedger, RepairCursor};
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::{
-    optimized_flow_resilient, optimized_flow_with, FaultPlan, FlowOptions, Health, RepairBudgets,
-    VerifyPolicy,
-};
+use prima_flow::{optimized_flow_with, FaultPlan, FlowOptions, Health, VerifyPolicy};
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
 use proptest::prelude::*;
@@ -71,15 +68,16 @@ fn faulted_flows_complete_with_clean_gates_on_all_four_circuits() {
         let plan = FaultPlan::new(23)
             .with_eval_fail_rate(0.30)
             .with_route_fault(&routed_net, 1);
-        let outcome = optimized_flow_resilient(
+        let outcome = optimized_flow_with(
             &tech,
             &lib,
             &spec,
             &biases,
             SEED,
-            gate_on(),
-            &plan,
-            RepairBudgets::default(),
+            FlowOptions {
+                faults: plan,
+                ..gate_on()
+            },
         )
         .unwrap_or_else(|e| panic!("{name}: faulted flow failed: {e}"));
 
@@ -118,15 +116,16 @@ fn candidate_panic_is_isolated_and_ledgered() {
     let plan = FaultPlan::new(5)
         .with_eval_panic("cs_amp", 0)
         .with_eval_panic("csrc_pmos", 1);
-    let outcome = optimized_flow_resilient(
+    let outcome = optimized_flow_with(
         &tech,
         &lib,
         &spec,
         &biases,
         SEED,
-        gate_on(),
-        &plan,
-        RepairBudgets::default(),
+        FlowOptions {
+            faults: plan,
+            ..gate_on()
+        },
     )
     .expect("flow survives candidate panics");
     let r = &outcome.resilience;
@@ -136,8 +135,9 @@ fn candidate_panic_is_isolated_and_ledgered() {
     assert!(outcome.verify.expect("gate on").is_passing());
 }
 
-/// A zero-fault plan must be invisible: the resilient entry point produces
-/// bit-identical output to the plain optimized flow and reports Clean.
+/// A zero-fault plan must be invisible: a run with `FlowOptions::faults` set
+/// to it produces bit-identical output to the plain optimized flow and
+/// reports Clean.
 #[test]
 fn zero_fault_plan_is_bit_identical_to_the_plain_flow() {
     let tech = Technology::finfet7();
@@ -146,15 +146,16 @@ fn zero_fault_plan_is_bit_identical_to_the_plain_flow() {
         let plain = optimized_flow_with(&tech, &lib, &spec, &biases, SEED, gate_on()).unwrap();
         let plan = FaultPlan::none();
         assert!(plan.is_zero());
-        let resilient = optimized_flow_resilient(
+        let resilient = optimized_flow_with(
             &tech,
             &lib,
             &spec,
             &biases,
             SEED,
-            gate_on(),
-            &plan,
-            RepairBudgets::default(),
+            FlowOptions {
+                faults: plan,
+                ..gate_on()
+            },
         )
         .unwrap();
 
